@@ -85,33 +85,38 @@ inline void two_product(double a, double b, double& x, double& y) {
 // Sum two expansions with zero elimination; result length returned.
 int fast_expansion_sum_zeroelim(int elen, const double* e, int flen,
                                 const double* f, double* h) {
+  // Advance to the next component; past the end it yields 0 instead of
+  // reading beyond the array (the value is never used there).
+  auto next = [](const double* x, int& i, int len) {
+    return ++i < len ? x[i] : 0.0;
+  };
   double Q, Qnew, hh;
   int eindex = 0, findex = 0, hindex = 0;
   double enow = e[0], fnow = f[0];
   if ((fnow > enow) == (fnow > -enow)) {
     Q = enow;
-    enow = e[++eindex];
+    enow = next(e, eindex, elen);
   } else {
     Q = fnow;
-    fnow = f[++findex];
+    fnow = next(f, findex, flen);
   }
   if (eindex < elen && findex < flen) {
     if ((fnow > enow) == (fnow > -enow)) {
       fast_two_sum(enow, Q, Qnew, hh);
-      enow = e[++eindex];
+      enow = next(e, eindex, elen);
     } else {
       fast_two_sum(fnow, Q, Qnew, hh);
-      fnow = f[++findex];
+      fnow = next(f, findex, flen);
     }
     Q = Qnew;
     if (hh != 0.0) h[hindex++] = hh;
     while (eindex < elen && findex < flen) {
       if ((fnow > enow) == (fnow > -enow)) {
         two_sum(Q, enow, Qnew, hh);
-        enow = e[++eindex];
+        enow = next(e, eindex, elen);
       } else {
         two_sum(Q, fnow, Qnew, hh);
-        fnow = f[++findex];
+        fnow = next(f, findex, flen);
       }
       Q = Qnew;
       if (hh != 0.0) h[hindex++] = hh;
@@ -119,13 +124,13 @@ int fast_expansion_sum_zeroelim(int elen, const double* e, int flen,
   }
   while (eindex < elen) {
     two_sum(Q, enow, Qnew, hh);
-    enow = e[++eindex];
+    enow = next(e, eindex, elen);
     Q = Qnew;
     if (hh != 0.0) h[hindex++] = hh;
   }
   while (findex < flen) {
     two_sum(Q, fnow, Qnew, hh);
-    fnow = f[++findex];
+    fnow = next(f, findex, flen);
     Q = Qnew;
     if (hh != 0.0) h[hindex++] = hh;
   }

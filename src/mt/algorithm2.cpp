@@ -1,20 +1,14 @@
 #include "mt/algorithm2.hpp"
 
 #include <algorithm>
-#include <exception>
-#include <limits>
-#include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
 
 #include "error.hpp"
-#include "mt/arena.hpp"
 #include "mt/slab_index.hpp"
+#include "mt/slab_runner.hpp"
 #include "obs/trace.hpp"
-#include "parallel/cancel.hpp"
-#include "parallel/fault.hpp"
 #include "parallel/sort.hpp"
 #include "parallel/timing.hpp"
 #include "seq/bounds.hpp"
@@ -23,47 +17,12 @@
 namespace psclip::mt {
 namespace {
 
-/// Record the in-flight exception's taxonomy code and message into a slab's
-/// degradation report. Must be called from inside a catch block.
-void classify_failure(DegradationReport& rep) {
-  try {
-    throw;
-  } catch (const Error& e) {
-    rep.cause = e.code();
-    rep.message = e.what();
-  } catch (const std::bad_alloc&) {
-    rep.cause = ErrorCode::kResource;
-    rep.message = "std::bad_alloc";
-  } catch (const std::exception& e) {
-    rep.cause = ErrorCode::kSlabFailure;
-    rep.message = e.what();
-  } catch (...) {
-    rep.cause = ErrorCode::kSlabFailure;
-    rep.message = "unknown exception";
-  }
-}
+constexpr EngineNames kNames{"alg2", "alg2.slab_clip", "alg2.clip",
+                             "alg2.slab", "alg2.merge"};
 
-/// Slab boundaries with (nearly) equal event counts per slab, each placed
-/// midway between two adjacent distinct event ordinates so that no input
-/// vertex lies exactly on a boundary (keeps the Greiner–Hormann rectangle
-/// clipping in general position).
-std::vector<double> slab_bounds(const std::vector<double>& ys,
-                                const geom::BBox& mbr, unsigned slabs) {
-  std::vector<double> bounds;
-  bounds.reserve(slabs + 1);
-  const double margin = 0.5 * std::max(mbr.height(), 1e-9) * 1e-6 + 1e-12;
-  bounds.push_back(mbr.ymin - margin);
-  const std::size_t n = ys.size();
-  for (unsigned t = 1; t < slabs; ++t) {
-    const std::size_t cut = t * n / slabs;
-    if (cut == 0 || cut >= n) continue;
-    const double b = 0.5 * (ys[cut - 1] + ys[cut]);
-    if (b > bounds.back()) bounds.push_back(b);
-  }
-  const double top = mbr.ymax + margin;
-  if (top > bounds.back()) bounds.push_back(top);
-  return bounds;
-}
+/// The per-slab degradation ladder, most to least aggressive.
+constexpr Rung kLadder[] = {Rung::kHealthy, Rung::kRetrySafe,
+                            Rung::kAltRectMethod, Rung::kSlabSequential};
 
 }  // namespace
 
@@ -74,23 +33,14 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
   const unsigned p =
       opts.slabs ? opts.slabs
                  : pool.size() * std::max(1u, opts.oversubscribe);
-  // Install the request's governance token for the whole run; a null token
-  // inherits whatever the caller (psclip::clip facade) already installed.
-  // TaskGroup/parallel_for re-install it inside every task they run, so
-  // checkpoints fire on all workers.
-  std::optional<par::gov::ScopedToken> gov_scope;
-  if (opts.cancel.valid()) gov_scope.emplace(opts.cancel);
-  par::gov::checkpoint_now();
+  SlabRunner runner(kNames, pool, opts);
   obs::TraceSink* const sink = opts.trace_sink;
-  obs::ScopedSpan req_span(sink, "alg2.slab_clip", obs::Cat::kRequest);
-  par::WallTimer req_timer;
   obs::ScopedSpan setup_span(sink, "alg2.setup", obs::Cat::kPhase);
-  par::WallTimer phase_timer;
-  par::ThreadCpuTimer phase_cpu_timer;
 
   // Steps 1-3: event ordinates, sorted, and the joint MBR.
   std::vector<double> ys;
-  ys.reserve(subject.num_vertices() + clip.num_vertices());
+  const std::size_t nverts = subject.num_vertices() + clip.num_vertices();
+  ys.reserve(nverts);
   geom::BBox mbr;
   for (const auto* input : {&subject, &clip}) {
     for (const auto& c : input->contours) {
@@ -100,677 +50,225 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
       }
     }
   }
-  if (ys.empty()) return {};
+  if (ys.empty()) return runner.run({}, stats);  // no slabs: resets *stats
   par::parallel_sort(pool, ys);
   ys.erase(std::unique(ys.begin(), ys.end()), ys.end());
 
-  const std::vector<double> bounds = slab_bounds(ys, mbr, p);
+  // Slab boundaries between adjacent distinct event ordinates, so that no
+  // input vertex lies exactly on a boundary (keeps the Greiner–Hormann
+  // rectangle clipping in general position).
+  const double margin = 0.5 * std::max(mbr.height(), 1e-9) * 1e-6 + 1e-12;
+  const std::vector<double> bounds =
+      slab_bounds(ys, mbr.ymin - margin, mbr.ymax + margin, p);
   const std::size_t nslabs = bounds.size() - 1;
 
-  // Slab-overlap contour index (Alg2Partition::kIndexed and kFused): cache
-  // each contour's bbox in one parallel pass, then build per-slab exact
-  // overlap lists so slab t only ever reads its own contours. Under
-  // kBroadcast the index is skipped and every slab scans both whole inputs
-  // (the paper's O(p·n) formulation).
-  const bool fused = opts.partition == Alg2Partition::kFused;
-  const bool use_index = fused || opts.partition == Alg2Partition::kIndexed;
-  std::vector<geom::BBox> sub_boxes, clip_boxes;
-  SlabContourIndex sub_idx, clip_idx;
-  if (use_index) {
-    sub_boxes.resize(subject.num_contours());
-    clip_boxes.resize(clip.num_contours());
-    pool.parallel_for(
-        subject.num_contours(),
-        [&](std::size_t i) { sub_boxes[i] = geom::bounds(subject.contours[i]); },
-        /*grain=*/64);
-    pool.parallel_for(
-        clip.num_contours(),
-        [&](std::size_t i) { clip_boxes[i] = geom::bounds(clip.contours[i]); },
-        /*grain=*/64);
-    sub_idx = build_slab_index(pool, sub_boxes, bounds);
-    clip_idx = build_slab_index(pool, clip_boxes, bounds);
-  }
-
-  // kFused setup: prepare every contour once, globally — clean + coalesce +
-  // perturb + bound decomposition + per-contour schedule run. Every prep
-  // step is per-contour deterministic, so a slab copying a fragment gets
-  // bit for bit what the materializing path's per-slab re-preparation would
-  // have rebuilt. Also classify contours as *well-contained* (overlap
-  // exactly one slab by original bbox AND the prepared bbox sits strictly
-  // inside that slab's open interval — perturbation can push a vertex past
-  // a boundary, and a boundary-touching contour is "inside" two slabs):
+  // kFused setup. Slab-overlap contour index: cache each contour's bbox in
+  // one parallel pass, then build per-slab exact overlap lists so slab t
+  // only ever reads its own contours. Under kBroadcast the index is skipped
+  // and every slab scans both whole inputs (the paper's O(p·n) form).
+  //
+  // Then prepare every contour once, globally. Every prep step is
+  // per-contour deterministic, so a slab copying a fragment gets bit for
+  // bit what the materializing path's per-slab re-preparation would have
+  // rebuilt. Also classify contours as *well-contained* (overlap exactly
+  // one slab by original bbox AND the prepared bbox sits strictly inside
+  // that slab's open interval — perturbation can push a vertex past a
+  // boundary, and a boundary-touching contour is "inside" two slabs):
   // their schedule ys go into one shared globally merged y-schedule that
   // slab tasks slice instead of re-sorting, and the strict containment is
   // what makes the slice exact.
-  // Two ownership modes behind one pointer view: without a cache the
-  // fragments live in the local *_own vectors (the pre-cache behavior);
-  // with Alg2Options::prepared_cache they are shared immutable fragments
-  // held alive for this run by the *_held shared_ptrs. Downstream code
-  // reads only the *_prep pointer views (null = degenerate contour), so it
-  // cannot tell the modes apart — the basis of the cache's byte-identity.
-  std::vector<seq::PreparedContour> sub_own, clip_own;
-  std::vector<std::shared_ptr<const seq::PreparedContour>> sub_held, clip_held;
-  std::vector<const seq::PreparedContour*> sub_prep, clip_prep;
-  std::vector<std::uint8_t> sub_well, clip_well;
+  const bool fused = opts.partition == Alg2Partition::kFused;
+  struct FusedInput {
+    const geom::PolygonSet& set;
+    bool is_clip;
+    std::vector<geom::BBox> boxes;
+    SlabContourIndex idx;
+    PreparedInput prep;
+    std::vector<std::uint8_t> well;
+  };
+  FusedInput inputs[] = {{subject, false, {}, {}, {}, {}},
+                         {clip, true, {}, {}, {}, {}}};
   std::vector<double> shared_ys;
   if (fused) {
     obs::ScopedSpan prep_span(sink, "alg2.fused_prep", obs::Cat::kPhase);
-    auto prep_input = [&](const geom::PolygonSet& input,
-                          const std::vector<geom::BBox>& boxes,
-                          std::vector<seq::PreparedContour>& own,
-                          std::vector<std::shared_ptr<
-                              const seq::PreparedContour>>& held,
-                          std::vector<const seq::PreparedContour*>& prep,
-                          std::vector<std::uint8_t>& well, bool is_clip) {
-      const std::size_t n = input.num_contours();
-      prep.assign(n, nullptr);
-      well.assign(n, 0);
-      if (opts.prepared_cache)
-        held.resize(n);
-      else
-        own.resize(n);
-      pool.parallel_for(
-          n,
-          [&](std::size_t i) {
-            if (opts.prepared_cache) {
-              held[i] =
-                  opts.prepared_cache->prepared(input.contours[i], is_clip);
-              prep[i] = held[i].get();
-            } else if (seq::prepare_contour(input.contours[i], is_clip,
-                                            own[i])) {
-              prep[i] = &own[i];
-            }
-            if (!prep[i]) return;
-            const SlabRange r =
-                slab_range(boxes[i].ymin, boxes[i].ymax, bounds, nslabs);
-            well[i] = r.lo <= r.hi && r.single() &&
-                              bounds[r.lo] < prep[i]->box.ymin &&
-                              prep[i]->box.ymax < bounds[r.lo + 1]
-                          ? 1
-                          : 0;
-          },
-          /*grain=*/16);
-    };
-    prep_input(subject, sub_boxes, sub_own, sub_held, sub_prep, sub_well,
-               /*is_clip=*/false);
-    prep_input(clip, clip_boxes, clip_own, clip_held, clip_prep, clip_well,
-               /*is_clip=*/true);
     std::vector<std::size_t> runs{0};
-    auto collect = [&](const std::vector<const seq::PreparedContour*>& prep,
-                       const std::vector<std::uint8_t>& well) {
-      for (std::size_t i = 0; i < prep.size(); ++i) {
-        if (!well[i] || prep[i]->ys.empty()) continue;
-        shared_ys.insert(shared_ys.end(), prep[i]->ys.begin(),
-                         prep[i]->ys.end());
+    for (FusedInput& in : inputs) {
+      const std::vector<geom::Contour>& contours = in.set.contours;
+      in.boxes.resize(contours.size());
+      pool.parallel_for(
+          contours.size(),
+          [&](std::size_t i) { in.boxes[i] = geom::bounds(contours[i]); },
+          /*grain=*/64);
+      in.idx = build_slab_index(pool, in.boxes, bounds);
+      in.prep = prepare_input(
+          pool, contours.size(),
+          [&](std::size_t i) -> const geom::Contour& { return contours[i]; },
+          in.is_clip, opts.prepared_cache);
+      in.well.assign(contours.size(), 0);
+      for (std::size_t i = 0; i < contours.size(); ++i) {
+        const seq::PreparedContour* pc = in.prep.prep[i];
+        if (!pc) continue;
+        const SlabRange r =
+            slab_range(in.boxes[i].ymin, in.boxes[i].ymax, bounds, nslabs);
+        in.well[i] = r.single() && bounds[r.lo] < pc->box.ymin &&
+                     pc->box.ymax < bounds[r.lo + 1];
+        if (!in.well[i] || pc->ys.empty()) continue;
+        shared_ys.insert(shared_ys.end(), pc->ys.begin(), pc->ys.end());
         runs.push_back(shared_ys.size());
       }
-    };
-    collect(sub_prep, sub_well);
-    collect(clip_prep, clip_well);
+    }
     seq::merge_sorted_runs_unique(shared_ys, runs);
-    prep_span.arg("shared_ys",
-                  static_cast<std::int64_t>(shared_ys.size()));
+    prep_span.arg("shared_ys", static_cast<std::int64_t>(shared_ys.size()));
   }
-  // Steps 4-6 per slab, in parallel: rectangle-clip both inputs to the
-  // slab, then run the sequential clipper on the slab pair.
-  struct SlabOut {
-    geom::PolygonSet result;
-    SlabLoad load;
-    DegradationReport report;
-    double partition_seconds = 0.0;
-    double partition_cpu = 0.0;  ///< thread CPU time of the partition step
-    int worker = -1;  ///< pool worker that executed the slab (-1 = caller)
-    bool done = false;       ///< slab task body ran (vs. lost to a group fault)
-    bool exhausted = false;  ///< every per-slab ladder rung failed
-  };
-  std::vector<SlabOut> outs(nslabs);
-  const double t_setup = phase_timer.seconds();
-  const double t_setup_cpu = phase_cpu_timer.seconds();
-  phase_timer.reset();
   setup_span.end();
-  req_span.arg("slabs", static_cast<std::int64_t>(nslabs));
-  req_span.arg("vertices", static_cast<std::int64_t>(
-                               subject.num_vertices() + clip.num_vertices()));
-  req_span.arg("op", static_cast<std::int64_t>(op));
+  runner.request_arg("slabs", static_cast<std::int64_t>(nslabs));
+  runner.request_arg("vertices", static_cast<std::int64_t>(nverts));
+  runner.request_arg("op", static_cast<std::int64_t>(op));
 
-  // Rectangle clipper for the kAltRectMethod rung: whichever of the two
-  // full clippers the run was *not* configured with.
-  const seq::RectClipMethod alt_method =
-      opts.rect_method == seq::RectClipMethod::kVatti
-          ? seq::RectClipMethod::kGreinerHormann
-          : seq::RectClipMethod::kVatti;
-
-  // One attempt at one slab on one ladder rung. Throws on any failure —
-  // injected faults, resource exhaustion, or a non-finite coordinate caught
-  // by the post-checks — with `so` reset so the next rung starts clean.
-  auto attempt_slab = [&](std::size_t t, SlabOut& so, Rung rung) {
-    par::gov::checkpoint_now();
-    so.result = geom::PolygonSet{};
-    so.load = SlabLoad{};
-    so.partition_seconds = 0.0;
-    so.partition_cpu = 0.0;
-    // Memory budget (DESIGN.md §11): the attempt holds a charge for the
-    // arena it grows, raised to the arena's capacity watermark after each
-    // growth step and released when the attempt ends (success or unwind).
-    // Concurrent attempts therefore charge the sum of their live arenas —
-    // the process's actual slab-scratch footprint.
-    par::gov::ScopedCharge arena_charge;
+  // Steps 4-6 for one slab on one rung: rectangle-clip both inputs to the
+  // slab, then run the sequential clipper on the slab pair.
+  auto attempt = [&](std::size_t t, Rung rung, SlabArena* arena,
+                     par::gov::ScopedCharge& charge, SlabWork& w) {
     obs::ScopedSpan part_span(sink, "alg2.slab_partition", obs::Cat::kPhase);
     par::WallTimer timer;
     par::ThreadCpuTimer cpu_timer;
     const geom::BBox rect{mbr.xmin - 1.0, bounds[t], mbr.xmax + 1.0,
                           bounds[t + 1]};
-
-    if (rung == Rung::kHealthy && fused) {
+    const bool fused_rung = arena && fused;
+    geom::PolygonSet a_t, b_t;  // materialized slab inputs (other rungs)
+    bool finite = true;
+    if (fused_rung) {
       // Fused fast path: assemble the slab's bound table and scanbeam
       // schedule directly from the globally prepared fragments — no
       // intermediate slab polygon sets, no per-slab re-preparation, no
-      // per-slab schedule sort. The degradation ladder's next rung
-      // (kRetrySafe) is the materializing broadcast path, byte-identical
-      // by the identity chain fused == indexed == broadcast.
-      SlabArena& arena = worker_arena();
-      ++arena.tasks_served;
-      seq::VattiScratch& scratch = arena.vatti;
-      seq::BoundTable& bt = seq::scratch_bounds(scratch);
+      // per-slab schedule sort. The ladder's next rung (kRetrySafe) is the
+      // materializing broadcast path, byte-identical to this one.
+      seq::BoundTable& bt = seq::scratch_bounds(arena->vatti);
       bt.edges.clear();
       bt.minima.clear();
-      std::vector<double>& sched = seq::scratch_schedule(scratch);
+      std::vector<double>& sched = seq::scratch_schedule(arena->vatti);
       sched.clear();
-      arena.run_end.clear();
-      arena.run_end.push_back(0);
+      arena->run_end.assign(1, 0);
       // Shared-schedule slice: every well-contained contour's ys lie
       // strictly inside its home slab's open interval, so the values in
       // (bounds[t], bounds[t+1]) are exactly this slab's share.
-      {
-        const auto lo =
-            std::upper_bound(shared_ys.begin(), shared_ys.end(), bounds[t]);
-        const auto hi = std::lower_bound(lo, shared_ys.end(), bounds[t + 1]);
-        sched.insert(sched.end(), lo, hi);
-        arena.run_end.push_back(sched.size());
-      }
+      const auto lo =
+          std::upper_bound(shared_ys.begin(), shared_ys.end(), bounds[t]);
+      const auto hi = std::lower_bound(lo, shared_ys.end(), bounds[t + 1]);
+      sched.insert(sched.end(), lo, hi);
+      arena->run_end.push_back(sched.size());
       seq::FusedClipStats fstats;
-      bool finite = true;
-      auto fused_input = [&](const geom::PolygonSet& input,
-                             const SlabContourIndex& idx,
-                             const std::vector<
-                                 const seq::PreparedContour*>& prep,
-                             const std::vector<std::uint8_t>& well,
-                             bool is_clip) {
-        const std::span<const SlabEntry> list = idx.slab(t);
-        arena.refs.clear();
-        arena.inside.clear();
-        arena.prep_refs.clear();
-        arena.in_shared.clear();
-        arena.refs.reserve(list.size());
-        arena.inside.reserve(list.size());
-        arena.prep_refs.reserve(list.size());
-        arena.in_shared.reserve(list.size());
-        for (const SlabEntry& e : list) {
-          arena.refs.push_back(&input.contours[e.contour]);
-          arena.inside.push_back(e.inside ? 1 : 0);
-          arena.prep_refs.push_back(prep[e.contour]);
-          arena.in_shared.push_back(well[e.contour] ? 1 : 0);
-        }
-        if (!seq::clip_bounds_to_slab(arena.prep_refs, arena.refs,
-                                      arena.inside, arena.in_shared, rect,
-                                      opts.rect_method, is_clip, &arena.rect,
-                                      bt, sched, arena.run_end, &fstats))
+      for (const FusedInput& in : inputs) {
+        const std::span<const SlabEntry> list = in.idx.slab(t);
+        arena->refs.clear();
+        arena->refs.reserve(list.size());
+        for (const SlabEntry& e : list)
+          arena->refs.push_back({in.prep.prep[e.contour],
+                                 &in.set.contours[e.contour], e.inside,
+                                 in.well[e.contour] != 0});
+        if (!seq::clip_bounds_to_slab(arena->refs, rect, opts.rect_method,
+                                      in.is_clip, &arena->rect, bt, sched,
+                                      arena->run_end, &fstats))
           finite = false;
-      };
-      fused_input(subject, sub_idx, sub_prep, sub_well,
-                  /*is_clip=*/false);
-      fused_input(clip, clip_idx, clip_prep, clip_well,
-                  /*is_clip=*/true);
+      }
       seq::sort_minima(bt);
       // The slab's bound table and schedule are fully assembled: raise the
       // attempt's budget charge to the arena watermark before committing to
       // the sweep (whose own per-beam checkpoint then charges output
       // growth).
-      arena_charge.raise_to(arena.resident_bytes());
-      so.load.touched_edges = fstats.touched_edges;
-      so.load.boundary_edges = fstats.boundary_edges;
-      so.load.bound_build_ns =
-          static_cast<std::int64_t>(timer.seconds() * 1e9);
-      so.partition_seconds = timer.seconds();
-      so.partition_cpu = cpu_timer.seconds();
-      part_span.arg("touched_edges", so.load.touched_edges);
-      part_span.arg("boundary_edges", so.load.boundary_edges);
-      part_span.end();
-      if (!finite)
-        throw Error(ErrorCode::kNonFinite,
-                    "non-finite vertex in slab " + std::to_string(t) +
-                        " partition output");
-      obs::ScopedSpan sweep_span(sink, "alg2.slab_sweep", obs::Cat::kPhase);
-      timer.reset();
-      cpu_timer.reset();
-      // Finish the schedule: one bottom-up merge of (shared slice, stray
-      // runs, piece runs) — same sorted distinct vector either sweep
-      // kernel would have built from this table.
-      par::WallTimer sched_timer;
-      seq::merge_sorted_runs_unique(sched, arena.run_end);
-      so.load.schedule_ns =
-          static_cast<std::int64_t>(sched_timer.seconds() * 1e9);
-      seq::VattiStats vs;
-      so.result = seq::vatti_sweep_prepared(op, &vs, scratch,
-                                            opts.sweep_kernel,
-                                            /*prebuilt_schedule=*/true);
-      if (par::fault::corrupt(par::fault::Site::kArena)) {
-        const double nan = std::numeric_limits<double>::quiet_NaN();
-        so.result.add({{nan, nan}, {0.0, 0.0}, {1.0, 1.0}});
+      charge.raise_to(arena->resident_bytes());
+      w.load.touched_edges = fstats.touched_edges;
+      w.load.boundary_edges = fstats.boundary_edges;
+      w.load.bound_build_ns = static_cast<std::int64_t>(timer.seconds() * 1e9);
+      part_span.arg("boundary_edges", w.load.boundary_edges);
+    } else {
+      // Materializing rungs: broadcast partition (the healthy rung under
+      // kBroadcast, and kRetrySafe on fresh scratch — bit-identical to the
+      // fused path), the same region via the alternate rectangle clipper
+      // (kAltRectMethod: whichever full clipper the run was *not*
+      // configured with), or no rect_clip fast path at all — the slab
+      // rectangle clipped as an ordinary polygon operand with the full
+      // sequential Vatti clipper (kSlabSequential).
+      if (rung == Rung::kSlabSequential) {
+        geom::PolygonSet rp;
+        rp.contours.push_back(
+            geom::make_rect(rect.xmin, rect.ymin, rect.xmax, rect.ymax));
+        a_t = seq::vatti_clip(subject, rp, geom::BoolOp::kIntersection,
+                              nullptr, nullptr, opts.sweep_kernel);
+        b_t = seq::vatti_clip(clip, rp, geom::BoolOp::kIntersection, nullptr,
+                              nullptr, opts.sweep_kernel);
+      } else {
+        seq::RectClipMethod m = opts.rect_method;
+        if (rung == Rung::kAltRectMethod)
+          m = m == seq::RectClipMethod::kVatti
+                  ? seq::RectClipMethod::kGreinerHormann
+                  : seq::RectClipMethod::kVatti;
+        a_t = seq::rect_clip(subject, rect, m);
+        b_t = seq::rect_clip(clip, rect, m);
       }
-      so.load.seconds = timer.seconds();
-      so.load.cpu_seconds = cpu_timer.seconds();
-      so.load.input_edges = vs.edges;
-      so.load.output_vertices = vs.output_vertices;
-      so.load.peak_arena_bytes =
-          static_cast<std::int64_t>(arena.resident_bytes());
-      sweep_span.arg("input_edges", vs.edges);
-      sweep_span.arg("output_vertices", vs.output_vertices);
-      sweep_span.arg("schedule_ns", so.load.schedule_ns);
-      sweep_span.end();
-      if (sink) {
-        sink->observe("alg2.slab_clip_seconds", so.load.seconds);
-        sink->observe("alg2.slab_peak_arena_bytes",
-                      static_cast<double>(so.load.peak_arena_bytes));
-      }
-      if (!geom::is_finite(so.result))
-        throw Error(ErrorCode::kNonFinite,
-                    "non-finite vertex in slab " + std::to_string(t) +
-                        " clip output");
-      return;
+      w.load.touched_edges = static_cast<std::int64_t>(nverts);
+      // Charge the materialized slab inputs (the structures this attempt
+      // retains until it returns); the sweep's own checkpoint charges
+      // output growth on top.
+      charge.raise_to((a_t.num_vertices() + b_t.num_vertices()) *
+                      sizeof(geom::Point));
+      finite = geom::is_finite(a_t) && geom::is_finite(b_t);
     }
-
-    geom::PolygonSet a_t, b_t;
-    seq::VattiScratch* scratch = nullptr;
-    if (rung == Rung::kHealthy) {
-      SlabArena& arena = worker_arena();
-      ++arena.tasks_served;
-      scratch = &arena.vatti;
-      // Materialize this slab's inputs. Indexed: walk the overlap list
-      // (ascending contour order == the broadcast scan order) and hand
-      // rect_clip_subset the precomputed inside flags; the slab only reads
-      // the contours it overlaps. Broadcast: scan and classify everything.
-      auto slab_input = [&](const geom::PolygonSet& input,
-                            const SlabContourIndex& idx) {
-        if (!use_index) {
-          so.load.touched_edges +=
-              static_cast<std::int64_t>(input.num_vertices());
-          return seq::rect_clip(input, rect, opts.rect_method);
-        }
-        const std::span<const SlabEntry> list = idx.slab(t);
-        arena.refs.clear();
-        arena.inside.clear();
-        arena.refs.reserve(list.size());
-        arena.inside.reserve(list.size());
-        for (const SlabEntry& e : list) {
-          const geom::Contour& c = input.contours[e.contour];
-          arena.refs.push_back(&c);
-          arena.inside.push_back(e.inside ? 1 : 0);
-          so.load.touched_edges += static_cast<std::int64_t>(c.size());
-        }
-        return seq::rect_clip_subset(arena.refs, arena.inside, rect,
-                                     opts.rect_method, &arena.rect);
-      };
-      a_t = slab_input(subject, sub_idx);
-      b_t = slab_input(clip, clip_idx);
-    } else if (rung == Rung::kRetrySafe || rung == Rung::kAltRectMethod) {
-      // Broadcast partition, fresh scratch, no arena: bit-identical to the
-      // healthy path (kRetrySafe) or the same region via the alternate
-      // rectangle clipper (kAltRectMethod).
-      const seq::RectClipMethod m =
-          rung == Rung::kRetrySafe ? opts.rect_method : alt_method;
-      so.load.touched_edges =
-          static_cast<std::int64_t>(subject.num_vertices() +
-                                    clip.num_vertices());
-      a_t = seq::rect_clip(subject, rect, m);
-      b_t = seq::rect_clip(clip, rect, m);
-    } else {  // kSlabSequential: no rect_clip fast path at all — clip the
-              // slab rectangle as an ordinary polygon operand with the full
-              // sequential Vatti clipper.
-      geom::PolygonSet rp;
-      rp.contours.push_back(
-          geom::make_rect(rect.xmin, rect.ymin, rect.xmax, rect.ymax));
-      so.load.touched_edges =
-          static_cast<std::int64_t>(subject.num_vertices() +
-                                    clip.num_vertices());
-      a_t = seq::vatti_clip(subject, rp, geom::BoolOp::kIntersection, nullptr,
-                            nullptr, opts.sweep_kernel);
-      b_t = seq::vatti_clip(clip, rp, geom::BoolOp::kIntersection, nullptr,
-                            nullptr, opts.sweep_kernel);
-    }
-    so.partition_seconds = timer.seconds();
-    so.partition_cpu = cpu_timer.seconds();
-    part_span.arg("touched_edges", so.load.touched_edges);
+    w.partition_seconds = timer.seconds();
+    w.partition_cpu = cpu_timer.seconds();
+    part_span.arg("touched_edges", w.load.touched_edges);
     part_span.end();
-    // Charge the materialized slab inputs (the structures this attempt
-    // retains until it returns); the sweep's own checkpoint charges output
-    // growth on top.
-    arena_charge.raise_to(
-        (a_t.num_vertices() + b_t.num_vertices()) * sizeof(geom::Point));
     // Never hand a corrupted partition to the sweep: a NaN vertex can wedge
     // the event queue, not just skew the output.
-    if (!geom::is_finite(a_t) || !geom::is_finite(b_t))
-      throw Error(ErrorCode::kNonFinite,
-                  "non-finite vertex in slab " + std::to_string(t) +
-                      " partition output");
+    if (!finite)
+      throw Error(ErrorCode::kNonFinite, "non-finite vertex in slab " +
+                                             std::to_string(t) +
+                                             " partition output");
+
     obs::ScopedSpan sweep_span(sink, "alg2.slab_sweep", obs::Cat::kPhase);
     timer.reset();
     cpu_timer.reset();
     seq::VattiStats vs;
-    so.result = seq::vatti_clip(a_t, b_t, op, &vs, scratch, opts.sweep_kernel);
-    if (rung == Rung::kHealthy &&
-        par::fault::corrupt(par::fault::Site::kArena)) {
-      const double nan = std::numeric_limits<double>::quiet_NaN();
-      so.result.add({{nan, nan}, {0.0, 0.0}, {1.0, 1.0}});
+    if (fused_rung) {
+      // One bottom-up merge of (shared slice, stray runs, piece runs) — the
+      // same sorted distinct schedule either sweep kernel would have built
+      // from this table — then the sweep.
+      par::WallTimer sched_timer;
+      seq::merge_sorted_runs_unique(seq::scratch_schedule(arena->vatti),
+                                    arena->run_end);
+      w.load.schedule_ns =
+          static_cast<std::int64_t>(sched_timer.seconds() * 1e9);
+      sweep_span.arg("schedule_ns", w.load.schedule_ns);
+      w.result = seq::vatti_sweep_prepared(op, &vs, arena->vatti,
+                                           opts.sweep_kernel,
+                                           /*prebuilt_schedule=*/true);
+    } else {
+      w.result = seq::vatti_clip(a_t, b_t, op, &vs,
+                                 arena ? &arena->vatti : nullptr,
+                                 opts.sweep_kernel);
+      w.load.bound_build_ns = vs.bound_build_ns;
+      w.load.schedule_ns = vs.schedule_ns;
     }
-    so.load.seconds = timer.seconds();
-    so.load.cpu_seconds = cpu_timer.seconds();
-    so.load.input_edges = vs.edges;
-    so.load.output_vertices = vs.output_vertices;
-    so.load.bound_build_ns = vs.bound_build_ns;
-    so.load.schedule_ns = vs.schedule_ns;
-    if (scratch)
-      so.load.peak_arena_bytes =
-          static_cast<std::int64_t>(worker_arena().resident_bytes());
+    w.load.seconds = timer.seconds();
+    w.load.cpu_seconds = cpu_timer.seconds();
+    w.load.input_edges = vs.edges;
+    w.load.output_vertices = vs.output_vertices;
     sweep_span.arg("input_edges", vs.edges);
     sweep_span.arg("output_vertices", vs.output_vertices);
-    sweep_span.end();
-    if (sink) {
-      sink->observe("alg2.slab_clip_seconds", so.load.seconds);
-      if (scratch)
-        sink->observe("alg2.slab_peak_arena_bytes",
-                      static_cast<double>(so.load.peak_arena_bytes));
-    }
-    if (!geom::is_finite(so.result))
-      throw Error(ErrorCode::kNonFinite,
-                  "non-finite vertex in slab " + std::to_string(t) +
-                      " clip output");
   };
 
-  // Walk one slab down the degradation ladder starting at `first`. Records
-  // rung reached / attempt count / first cause in so.report; flags the slab
-  // exhausted when every rung fails. Never throws.
-  auto run_ladder = [&](std::size_t t, SlabOut& so, Rung first) {
-    so.done = true;
-    static constexpr Rung kLadder[] = {Rung::kHealthy, Rung::kRetrySafe,
-                                       Rung::kAltRectMethod,
-                                       Rung::kSlabSequential};
-    bool recorded = !so.report.message.empty();
-    for (const Rung rung : kLadder) {
-      if (rung < first) continue;
-      // Governance gate before burning a rung: a cancelled request, an
-      // expired deadline, or a *sticky* blown budget (memory still
-      // retained over the limit) makes every further attempt hopeless —
-      // time and memory lost in this slab are lost globally, unlike the
-      // slab-local faults the ladder exists for. A transient budget
-      // failure (e.g. an allocation spike released with its attempt)
-      // passes this gate and gets its retry on the next rung, preserving
-      // byte-identical recovery.
-      try {
-        par::gov::checkpoint_now();
-      } catch (...) {
-        if (!recorded) classify_failure(so.report);
-        so.result = geom::PolygonSet{};
-        so.exhausted = true;
-        return;
-      }
-      ++so.report.attempts;
-      // One kRung span per ladder attempt, named after the rung; nests
-      // under the enclosing slab span (same thread, implicit parent).
-      obs::ScopedSpan rung_span(sink, to_string(rung), obs::Cat::kRung);
-      rung_span.arg("rung", static_cast<std::int64_t>(rung));
-      try {
-        attempt_slab(t, so, rung);
-        so.report.rung = rung;
-        return;
-      } catch (...) {
-        rung_span.arg("failed", 1);
-        if (!recorded) {
-          classify_failure(so.report);
-          recorded = true;
-        }
-      }
-    }
-    so.result = geom::PolygonSet{};  // a failed attempt may leave debris
-    so.exhausted = true;
+  SlabJob job;
+  job.rungs = kLadder;
+  job.attempt = attempt;
+  job.whole_input = [&] {
+    return seq::vatti_clip(subject, clip, op, nullptr, nullptr,
+                           opts.sweep_kernel);
   };
-
-  // One stealable task per slab. Every worker starts with its round-robin
-  // share; whoever drains its deque first steals half of a busy worker's
-  // queued slabs, so oversubscribed decompositions (nslabs > pool.size())
-  // self-balance without any cost model. The slab decomposition is fixed
-  // before scheduling and outs[] is indexed by slab, so the result is
-  // byte-identical regardless of which worker runs which slab.
-  const std::vector<par::StealStats> steal_before = pool.steal_stats();
-  obs::ScopedSpan clip_span(sink, "alg2.clip", obs::Cat::kPhase);
-  const obs::SpanId clip_id = clip_span.id();
-  par::TaskGroup group(pool);
-  for (std::size_t t = 0; t < nslabs; ++t) {
-    group.run([&, t] {
-      SlabOut& so = outs[t];
-      so.worker = pool.current_worker();
-      // The slab span parents to the clip-phase span *explicitly*: the
-      // phase span lives on the calling thread while slab tasks run on
-      // whichever worker steals them, so implicit (same-thread) nesting
-      // cannot link them.
-      obs::ScopedSpan slab_span(sink, "alg2.slab", obs::Cat::kSlab, clip_id);
-      slab_span.arg("slab", static_cast<std::int64_t>(t));
-      slab_span.arg("worker", so.worker);
-      // Deterministic fault key: a plan keyed on slab index t fires for
-      // this slab no matter which worker the scheduler hands it to.
-      par::fault::ScopedKey key(t);
-      if (opts.isolate_faults) {
-        so.report.attempts = 0;
-        run_ladder(t, so, Rung::kHealthy);
-      } else {
-        attempt_slab(t, so, Rung::kHealthy);
-        so.done = true;
-      }
-      slab_span.arg("rung", static_cast<std::int64_t>(so.report.rung));
-      slab_span.arg("attempts",
-                    static_cast<std::int64_t>(so.report.attempts));
-    });
-  }
-  PartialReport partial;
-  if (!opts.isolate_faults) {
-    group.wait();  // fail-fast: first slab failure propagates unchanged
-  } else {
-    DegradationReport group_rep;
-    bool group_failed = false;
-    try {
-      group.wait();
-    } catch (...) {
-      // A fault fired in the scheduler wrapper itself (or several task
-      // bodies were lost): TaskGroup aggregated it into one exception and
-      // skipped not-yet-started tasks. Recover every lost slab here on the
-      // calling thread, starting one rung down the ladder.
-      group_failed = true;
-      classify_failure(group_rep);
-    }
-    if (group_failed) {
-      for (std::size_t t = 0; t < nslabs; ++t) {
-        SlabOut& so = outs[t];
-        if (so.done) continue;
-        so.report = group_rep;
-        so.report.attempts = 1;  // the task attempt the group aborted
-        obs::ScopedSpan slab_span(sink, "alg2.slab", obs::Cat::kSlab,
-                                  clip_id);
-        slab_span.arg("slab", static_cast<std::int64_t>(t));
-        slab_span.arg("worker", -1);  // recovered on the calling thread
-        par::fault::ScopedKey key(t);
-        run_ladder(t, so, Rung::kRetrySafe);
-        slab_span.arg("rung", static_cast<std::int64_t>(so.report.rung));
-        slab_span.arg("attempts",
-                      static_cast<std::int64_t>(so.report.attempts));
-      }
-    }
-    // Exhausted slabs split two ways. Governance-exhausted slabs (the
-    // ladder gate tripped on cancel/deadline/budget) must NOT reach the
-    // whole-input fallback — recomputing everything sequentially is the
-    // most expensive possible response to "stop spending resources".
-    // They either become a partial result (allow_partial) or fail the
-    // request with the precise governance code. Only fault-exhausted
-    // slabs (every rung genuinely failed) take the whole-input rung.
-    bool fault_exhausted = false, gov_exhausted = false;
-    for (const SlabOut& so : outs)
-      if (so.exhausted) {
-        if (is_governance(so.report.cause))
-          gov_exhausted = true;
-        else
-          fault_exhausted = true;
-      }
-    if (gov_exhausted && !opts.allow_partial) {
-      // Prefer the live token state (clean message); fall back to the
-      // recorded first governance failure (e.g. a transient budget trip
-      // whose sticky state has since cleared).
-      par::gov::rethrow_if_stopped();
-      for (const SlabOut& so : outs)
-        if (so.exhausted && is_governance(so.report.cause))
-          throw Error(so.report.cause, so.report.message);
-    }
-    if (gov_exhausted) {
-      partial.partial = true;
-      for (const SlabOut& so : outs)
-        if (so.exhausted && is_governance(so.report.cause)) {
-          partial.cause = so.report.cause;
-          partial.message = so.report.message;
-          break;
-        }
-      for (std::size_t t = 0; t < nslabs; ++t) {
-        SlabOut& so = outs[t];
-        if (!so.exhausted) continue;
-        so.report.rung = Rung::kPartialResult;
-        if (!partial.missing.empty() &&
-            partial.missing.back().last + 1 == t) {
-          partial.missing.back().last = t;
-          partial.missing.back().y_hi = bounds[t + 1];
-        } else {
-          partial.missing.push_back({t, t, bounds[t], bounds[t + 1]});
-        }
-      }
-    } else if (fault_exhausted) {
-      // Final rung: abandon the slab decomposition and recompute the whole
-      // request sequentially. Runs keyless so slab-keyed fault plans cannot
-      // follow the computation here; a fault that still fires (kAnyKey plan
-      // with shots left) means nothing can produce output, and propagates.
-      obs::ScopedSpan whole_span(sink, to_string(Rung::kWholeInput),
-                                 obs::Cat::kRung);
-      whole_span.arg("rung", static_cast<std::int64_t>(Rung::kWholeInput));
-      par::fault::ScopedKey key(par::fault::kNoKey);
-      geom::PolygonSet whole = seq::vatti_clip(subject, clip, op, nullptr,
-                                               nullptr, opts.sweep_kernel);
-      for (SlabOut& so : outs) {
-        so.result = geom::PolygonSet{};
-        so.report.rung = Rung::kWholeInput;
-      }
-      outs[0].result = std::move(whole);
-    }
-  }
-
-  const double t_par = phase_timer.seconds();
-  phase_timer.reset();
-
-  // Steal totals attributed to this run (pool-counter deltas).
-  std::vector<par::StealStats> steal_after;
-  if (stats || sink) steal_after = pool.steal_stats();
-  if (sink) {
-    std::int64_t steals = 0, stolen = 0;
-    for (unsigned i = 0; i < pool.size(); ++i) {
-      steals += static_cast<std::int64_t>(steal_after[i].steals -
-                                          steal_before[i].steals);
-      stolen += static_cast<std::int64_t>(steal_after[i].tasks_stolen -
-                                          steal_before[i].tasks_stolen);
-    }
-    clip_span.arg("steals", steals);
-    clip_span.arg("tasks_stolen", stolen);
-    sink->add_counter("alg2.steals", steals);
-  }
-  clip_span.end();
-
-  // Step 8 (sequential in the paper): concatenate the per-slab outputs.
-  // merge_cpu is measured with the thread CPU clock, not copied from the
-  // wall section: the merge runs on the caller only, but wall time still
-  // charges any time the caller was descheduled while workers wound down.
-  obs::ScopedSpan merge_span(sink, "alg2.merge", obs::Cat::kPhase);
-  par::ThreadCpuTimer merge_cpu_timer;
-  geom::PolygonSet out;
-  for (auto& so : outs)
-    for (auto& c : so.result.contours) out.contours.push_back(std::move(c));
-  const double t_merge = phase_timer.seconds();
-  const double t_merge_cpu = merge_cpu_timer.seconds();
-  merge_span.arg("output_contours",
-                 static_cast<std::int64_t>(out.num_contours()));
-  merge_span.end();
-
-  if (sink) {
-    std::int64_t degraded = 0;
-    for (const SlabOut& so : outs)
-      if (so.report.rung != Rung::kHealthy) ++degraded;
-    req_span.arg("degraded_slabs", degraded);
-    sink->add_counter("alg2.requests", 1);
-    sink->add_counter("alg2.slabs", static_cast<std::int64_t>(nslabs));
-    sink->add_counter("alg2.degraded_slabs", degraded);
-    sink->observe("alg2.request_seconds", req_timer.seconds());
-    if (partial.partial) {
-      req_span.arg("partial", 1);
-      req_span.arg("missing_slabs",
-                   static_cast<std::int64_t>(partial.missing_slabs()));
-      sink->add_counter("alg2.partial_requests", 1);
-      sink->add_counter("alg2.missing_slabs",
-                        static_cast<std::int64_t>(partial.missing_slabs()));
-    }
-    if (const par::ResourceBudget* b = opts.cancel.budget())
-      sink->observe("gov.peak_budget_bytes", static_cast<double>(b->peak()));
-  }
-
-  if (stats) {
-    double partition_cpu_in_slabs = 0.0;
-    stats->slabs.clear();
-    stats->degradation.clear();
-    for (const auto& so : outs) {
-      stats->slabs.push_back(so.load);
-      stats->degradation.push_back(so.report);
-      partition_cpu_in_slabs += so.partition_cpu;
-    }
-    // Per-worker scheduling record: slot i < pool.size() is pool worker i,
-    // the last slot is the calling thread (which helps while waiting).
-    // Steal/idle numbers are pool-counter deltas, attributable to this run
-    // only when the pool is not shared with concurrent work.
-    stats->workers.assign(pool.size() + 1, WorkerLoad{});
-    for (const auto& so : outs) {
-      const std::size_t slot = so.worker >= 0
-                                   ? static_cast<std::size_t>(so.worker)
-                                   : pool.size();
-      WorkerLoad& w = stats->workers[slot];
-      ++w.slab_jobs;
-      w.busy_seconds += so.partition_seconds + so.load.seconds;
-    }
-    for (unsigned i = 0; i < pool.size(); ++i) {
-      WorkerLoad& w = stats->workers[i];
-      w.steals = steal_after[i].steals - steal_before[i].steals;
-      w.tasks_stolen =
-          steal_after[i].tasks_stolen - steal_before[i].tasks_stolen;
-      w.idle_seconds =
-          steal_after[i].idle_seconds - steal_before[i].idle_seconds;
-    }
-    // Fig. 9's categories, in two consistent unit systems (see PhaseTimes):
-    // wall = the calling thread's sections (setup / parallel region /
-    // merge); cpu = per-worker time actually spent in the phase, summed
-    // across workers. Mixing the two in one field made per-phase numbers
-    // exceed the wall total whenever slabs ran concurrently — or, at
-    // slabs = 1, made "clip" exceed the whole run.
-    double clip_cpu_in_slabs = 0.0;
-    for (const auto& so : outs) clip_cpu_in_slabs += so.load.cpu_seconds;
-    stats->phases.partition = t_setup;
-    stats->phases.clip = t_par;
-    stats->phases.merge = t_merge;
-    stats->phases.partition_cpu = t_setup_cpu + partition_cpu_in_slabs;
-    stats->phases.clip_cpu = clip_cpu_in_slabs;
-    stats->phases.merge_cpu = t_merge_cpu;
-    stats->output_contours = static_cast<std::int64_t>(out.num_contours());
-    stats->partial = partial;
-  }
-  return out;
+  for (std::size_t t = 0; t < nslabs; ++t)
+    job.extents.emplace_back(bounds[t], bounds[t + 1]);
+  // Step 8 (sequential in the paper) is plain concatenation: slab pieces
+  // have disjoint interiors, so no duplicate removal.
+  return runner.run(job, stats);
 }
 
 }  // namespace psclip::mt

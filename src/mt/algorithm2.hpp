@@ -19,29 +19,20 @@ namespace psclip::mt {
 
 /// How Algorithm 2's Steps 4–5 select the input handed to each slab task.
 enum class Alg2Partition {
-  /// Slab-overlap contour index (the default): one parallel pass caches the
-  /// per-contour y-intervals, a sort + prefix-sum pass builds, for every
-  /// slab, the exact list of contours overlapping it, and each slab task
-  /// rect-clips only that list (fully-contained contours are moved, not
-  /// clipped). Partition work drops from O(p·n) to O(n log n + Σ_t n_t) —
-  /// output-sensitive in the slab overlap sizes n_t.
-  kIndexed,
   /// The paper's formulation: every slab task scans both whole input sets
   /// and rectangle-clips them against its slab. O(p·n) partition work.
-  /// Retained as the ablation baseline; produces byte-identical output.
+  /// Retained as the ablation baseline and as the materializing path of
+  /// the kRetrySafe rung; produces byte-identical output.
   kBroadcast,
-  /// Fused slab-local bound construction (the default): contours are
-  /// prepared (clean + coalesce + perturb + bound decomposition) once
-  /// globally, and each slab task rect-clips *bounds, not contours* —
-  /// fully-inside contours drop their prepared bound fragment straight into
-  /// the worker arena's BoundTable, straddling contours are rectangle-
-  /// clipped and only their pieces re-prepared, and the per-slab scanbeam
-  /// schedule is sliced from one shared globally merged y-schedule instead
-  /// of re-sorted per slab (seq::clip_bounds_to_slab). Removes the
-  /// materialize-then-rederive round trip that made per-slab sweep setup
-  /// cost O(slab input) instead of output-sensitive. Byte-identical output
-  /// to kIndexed/kBroadcast; the degradation ladder's kRetrySafe rung falls
-  /// back to the materializing broadcast path.
+  /// Fused slab-local bound construction (the default, DESIGN.md §10):
+  /// every contour is prepared (clean + coalesce + perturb + bound
+  /// decomposition) once globally, a slab-overlap contour index gives each
+  /// slab its contours, and their prepared bound fragments go straight into
+  /// the worker arena's BoundTable — straddlers are rectangle-clipped at
+  /// the bound level (seq::clip_bounds_to_slab) — while the per-slab
+  /// scanbeam schedule is sliced from one shared merged y-schedule.
+  /// Partition work is output-sensitive in the slab overlap sizes.
+  /// Byte-identical output to kBroadcast.
   kFused,
 };
 
@@ -63,9 +54,8 @@ struct Alg2Options {
   /// Clipper used for the rectangle-clipping Steps 4–5; the paper picks
   /// Greiner–Hormann after benchmarking it against GPC.
   seq::RectClipMethod rect_method = seq::RectClipMethod::kGreinerHormann;
-  /// Partition-input selection strategy (see Alg2Partition). All settings
-  /// produce byte-identical results; kIndexed/kBroadcast exist for
-  /// ablation.
+  /// Partition-input selection strategy (see Alg2Partition). Both settings
+  /// produce byte-identical results; kBroadcast exists for ablation.
   Alg2Partition partition = Alg2Partition::kFused;
   /// Fault isolation (default on): every slab task runs behind a guard that
   /// catches exceptions and rejects non-finite output, then walks the

@@ -2,25 +2,30 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
 #include <limits>
-#include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 
 #include "error.hpp"
-#include "mt/arena.hpp"
+#include "mt/slab_index.hpp"
+#include "mt/slab_runner.hpp"
 #include "obs/trace.hpp"
-#include "parallel/cancel.hpp"
-#include "parallel/fault.hpp"
 #include "parallel/sort.hpp"
 #include "parallel/timing.hpp"
 #include "seq/bounds.hpp"
+#include "seq/rect_clip.hpp"
 #include "seq/vatti.hpp"
 
 namespace psclip::mt {
 namespace {
+
+constexpr EngineNames kNames{"multiset", "alg2.multiset_clip",
+                             "multiset.clip", "multiset.slab",
+                             "multiset.merge"};
+
+/// Per-slab ladder: the fused fast path, then a materializing re-run on
+/// fresh scratch (bit-identical).
+constexpr Rung kLadder[] = {Rung::kHealthy, Rung::kRetrySafe};
 
 struct PolyRec {
   const geom::Contour* contour;
@@ -47,23 +52,21 @@ struct ContourSig {
   double area, cx, cy;
 };
 
-ContourSig signature(const geom::Contour& c, std::size_t index) {
-  ContourSig s{index, c.size(), std::fabs(geom::signed_area(c)), 0.0, 0.0};
-  for (const auto& p : c.pts) {
-    s.cx += p.x;
-    s.cy += p.y;
-  }
-  s.cx /= static_cast<double>(c.size());
-  s.cy /= static_cast<double>(c.size());
-  return s;
-}
-
-geom::PolygonSet drop_duplicates(geom::PolygonSet merged,
-                                 std::int64_t* removed) {
+/// Remove replicated duplicates from `merged` in place; returns how many.
+std::int64_t drop_duplicates(geom::PolygonSet& merged) {
   std::vector<ContourSig> sigs;
   sigs.reserve(merged.num_contours());
-  for (std::size_t i = 0; i < merged.contours.size(); ++i)
-    sigs.push_back(signature(merged.contours[i], i));
+  for (std::size_t i = 0; i < merged.contours.size(); ++i) {
+    const geom::Contour& c = merged.contours[i];
+    ContourSig sig{i, c.size(), std::fabs(geom::signed_area(c)), 0.0, 0.0};
+    for (const auto& pt : c.pts) {
+      sig.cx += pt.x;
+      sig.cy += pt.y;
+    }
+    sig.cx /= static_cast<double>(c.size());
+    sig.cy /= static_cast<double>(c.size());
+    sigs.push_back(sig);
+  }
   std::sort(sigs.begin(), sigs.end(),
             [](const ContourSig& a, const ContourSig& b) {
               if (a.nverts != b.nverts) return a.nverts < b.nverts;
@@ -93,8 +96,8 @@ geom::PolygonSet drop_duplicates(geom::PolygonSet merged,
   geom::PolygonSet out;
   for (std::size_t i = 0; i < merged.contours.size(); ++i)
     if (!drop[i]) out.contours.push_back(std::move(merged.contours[i]));
-  if (removed) *removed = dups;
-  return out;
+  merged = std::move(out);
+  return dups;
 }
 
 }  // namespace
@@ -115,196 +118,139 @@ geom::PolygonSet multiset_clip(const geom::PolygonSet& subject,
                                const MultisetOptions& opts,
                                Alg2Stats* stats) {
   const unsigned p = opts.slabs ? opts.slabs : pool.size();
-  MultisetAssign mode = opts.assign;
-  if (mode == MultisetAssign::kAuto) {
-    mode = (op == geom::BoolOp::kIntersection ||
-            op == geom::BoolOp::kDifference)
-               ? MultisetAssign::kSubjectOwner
-               : MultisetAssign::kBlockClosure;
-  }
+  const bool owner_exact =
+      op == geom::BoolOp::kIntersection || op == geom::BoolOp::kDifference;
+  const MultisetAssign mode =
+      opts.assign != MultisetAssign::kAuto ? opts.assign
+      : owner_exact                        ? MultisetAssign::kSubjectOwner
+                                           : MultisetAssign::kBlockClosure;
+  SlabRunner runner(kNames, pool, opts);
   obs::TraceSink* const sink = opts.trace_sink;
-  obs::ScopedSpan req_span(sink, "alg2.multiset_clip", obs::Cat::kRequest);
-  par::WallTimer req_timer;
-  // Install the request's governance token for the whole run (slab tasks
-  // re-capture it through parallel_for); a null token inherits whatever the
-  // caller installed on this thread (psclip::clip facade) or governs
-  // nothing. Checkpoint immediately: an already-dead request does no work.
-  std::optional<par::gov::ScopedToken> gov_scope;
-  if (opts.cancel.valid()) gov_scope.emplace(opts.cancel);
-  par::gov::checkpoint_now();
   obs::ScopedSpan events_span(sink, "multiset.events", obs::Cat::kPhase);
-  par::WallTimer phase_timer;
-  par::ThreadCpuTimer phase_cpu_timer;
 
-  const auto srecs = records(subject);
-  const auto crecs = records(clip);
+  // The two layers: polygon records, per-task id lists, fused fragments.
+  struct Layer {
+    std::vector<PolyRec> recs;
+    bool is_clip;
+    std::vector<std::vector<std::uint32_t>> slab_ids;
+    PreparedInput prep;
+  };
+  Layer layers[] = {{records(subject), false, {}, {}},
+                    {records(clip), true, {}, {}}};
+  const std::vector<PolyRec>& srecs = layers[0].recs;
+  const std::vector<PolyRec>& crecs = layers[1].recs;
 
   // Event list: both y-extents of every polygon MBR (paper §IV).
   std::vector<double> events;
   events.reserve(2 * (srecs.size() + crecs.size()));
-  for (const auto* recs : {&srecs, &crecs}) {
-    for (const auto& r : *recs) {
+  for (const Layer& l : layers)
+    for (const PolyRec& r : l.recs) {
       events.push_back(r.ymin);
       events.push_back(r.ymax);
     }
-  }
-  if (events.empty()) return {};
+  if (events.empty()) return runner.run({}, stats);  // resets *stats
   par::parallel_sort(pool, events);
 
   // Slab boundaries at equal event counts, between adjacent events.
-  std::vector<double> bounds;
-  bounds.push_back(events.front() - 1.0);
-  for (unsigned t = 1; t < p; ++t) {
-    const std::size_t cut = t * events.size() / p;
-    if (cut == 0 || cut >= events.size()) continue;
-    const double b = 0.5 * (events[cut - 1] + events[cut]);
-    if (b > bounds.back()) bounds.push_back(b);
-  }
-  if (events.back() + 1.0 > bounds.back())
-    bounds.push_back(events.back() + 1.0);
+  const std::vector<double> bounds =
+      slab_bounds(events, events.front() - 1.0, events.back() + 1.0, p);
   const std::size_t nslabs = bounds.size() - 1;
-  const double t_events = phase_timer.seconds();
-  phase_timer.reset();
   events_span.arg("events", static_cast<std::int64_t>(events.size()));
   events_span.arg("slabs", static_cast<std::int64_t>(nslabs));
   events_span.end();
-  req_span.arg("polygons",
-               static_cast<std::int64_t>(srecs.size() + crecs.size()));
-  req_span.arg("op", static_cast<std::int64_t>(op));
+  runner.request_arg("polygons",
+                     static_cast<std::int64_t>(srecs.size() + crecs.size()));
+  runner.request_arg("op", static_cast<std::int64_t>(op));
   obs::ScopedSpan assign_span(sink, "multiset.assign", obs::Cat::kPhase);
 
   // ---- Distribute polygons to slabs per the assignment mode. ----
   // Slabs hold *record-id lists* (indices into srecs/crecs), not contour
   // copies: replication assigns whole polygons, so an index is all a slab
-  // needs, and the old copy-per-slab materialization — which duplicated a
-  // polygon's vertices into every replicating slab — disappears. The
-  // materializing rungs below rebuild a slab's PolygonSets from these lists
-  // on demand.
-  std::vector<std::vector<std::uint32_t>> slab_subject, slab_clip_in;
-  // y-extent of every slab task, for PartialReport's missing ranges. Block
-  // closure merges slabs into blocks, so the extent list is per *task*,
-  // not per decomposition slab.
-  std::vector<std::pair<double, double>> work_extent;
-  bool need_dedup = false;
+  // needs. The materializing rungs rebuild a slab's PolygonSets from these
+  // lists on demand.
+  auto& slab_subject = layers[0].slab_ids;
+  auto& slab_clip_in = layers[1].slab_ids;
+  // y-extent of every slab task. Block closure merges slabs into blocks,
+  // so the extent list is per *task*, not per decomposition slab.
+  std::vector<std::pair<double, double>> extents;
+  for (std::size_t t = 0; t < nslabs; ++t)
+    extents.emplace_back(bounds[t], bounds[t + 1]);
+  // Ids of the records whose MBR y-range overlaps [lo, hi].
+  auto overlapping = [](const std::vector<PolyRec>& recs, double lo,
+                        double hi, std::vector<std::uint32_t>& ids) {
+    for (std::size_t i = 0; i < recs.size(); ++i)
+      if (recs[i].ymin <= hi && recs[i].ymax >= lo)
+        ids.push_back(static_cast<std::uint32_t>(i));
+  };
 
-  switch (mode) {
-    case MultisetAssign::kSubjectOwner: {
-      // Each subject polygon goes to exactly one slab; the clip polygons
-      // a subject can interact with are replicated into that slab. Every
-      // subject (and so every interacting pair) is clipped exactly once.
-      slab_subject.resize(nslabs);
-      slab_clip_in.resize(nslabs);
-      std::vector<std::pair<double, double>> reach(
-          nslabs, {std::numeric_limits<double>::infinity(),
-                   -std::numeric_limits<double>::infinity()});
-      auto slab_of = [&bounds](double y) -> std::size_t {
-        const auto it =
-            std::upper_bound(bounds.begin(), bounds.end(), y);
-        const std::size_t i = static_cast<std::size_t>(it - bounds.begin());
-        return std::min(i > 0 ? i - 1 : 0, bounds.size() - 2);
-      };
-      for (std::size_t i = 0; i < srecs.size(); ++i) {
-        const PolyRec& r = srecs[i];
-        const std::size_t t = slab_of(0.5 * (r.ymin + r.ymax));
-        slab_subject[t].push_back(static_cast<std::uint32_t>(i));
-        reach[t].first = std::min(reach[t].first, r.ymin);
-        reach[t].second = std::max(reach[t].second, r.ymax);
-      }
-      pool.parallel_for(
-          nslabs,
-          [&](std::size_t t) {
-            for (std::size_t i = 0; i < crecs.size(); ++i)
-              if (crecs[i].ymin <= reach[t].second &&
-                  crecs[i].ymax >= reach[t].first)
-                slab_clip_in[t].push_back(static_cast<std::uint32_t>(i));
-          },
-          /*grain=*/1);
-      break;
+  if (mode == MultisetAssign::kBlockClosure) {
+    // Merge MBR y-intervals into maximal blocks (transitive overlap),
+    // extend each slab to whole blocks, and drop slabs whose closure
+    // duplicates the previous one. Interacting groups are always fully
+    // inside every slab that sees part of them, so per-slab outputs of
+    // replicated groups are identical and dedup is exact for any op.
+    std::vector<std::pair<double, double>> iv, blocks;
+    iv.reserve(srecs.size() + crecs.size());
+    for (const Layer& l : layers)
+      for (const PolyRec& r : l.recs) iv.emplace_back(r.ymin, r.ymax);
+    std::sort(iv.begin(), iv.end());
+    for (const auto& [lo, hi] : iv) {
+      if (!blocks.empty() && lo <= blocks.back().second)
+        blocks.back().second = std::max(blocks.back().second, hi);
+      else
+        blocks.emplace_back(lo, hi);
     }
-    case MultisetAssign::kReplicate: {
-      // The paper's scheme: y-overlap replication for both layers.
-      slab_subject.resize(nslabs);
-      slab_clip_in.resize(nslabs);
-      pool.parallel_for(
-          nslabs,
-          [&](std::size_t t) {
-            const double lo = bounds[t], hi = bounds[t + 1];
-            for (std::size_t i = 0; i < srecs.size(); ++i)
-              if (srecs[i].ymin <= hi && srecs[i].ymax >= lo)
-                slab_subject[t].push_back(static_cast<std::uint32_t>(i));
-            for (std::size_t i = 0; i < crecs.size(); ++i)
-              if (crecs[i].ymin <= hi && crecs[i].ymax >= lo)
-                slab_clip_in[t].push_back(static_cast<std::uint32_t>(i));
-          },
-          /*grain=*/1);
-      need_dedup = true;
-      break;
+    std::vector<std::pair<double, double>> closed;
+    for (const auto& [lo, hi] : extents) {
+      auto it = std::lower_bound(
+          blocks.begin(), blocks.end(), lo,
+          [](const std::pair<double, double>& b, double v) {
+            return b.second < v;
+          });
+      std::pair<double, double> cl{lo, hi};
+      if (it != blocks.end() && it->first <= hi)
+        cl.first = std::min(cl.first, it->first);
+      for (; it != blocks.end() && it->first <= hi; ++it)
+        cl.second = std::max(cl.second, it->second);
+      if (closed.empty() || closed.back() != cl) closed.push_back(cl);
     }
-    case MultisetAssign::kAuto:  // resolved above; silence the compiler
-    case MultisetAssign::kBlockClosure: {
-      // Merge MBR y-intervals into maximal blocks (transitive overlap),
-      // extend each slab to whole blocks, and drop slabs whose closure
-      // duplicates the previous one. Interacting groups are always fully
-      // inside every slab that sees part of them, so per-slab outputs of
-      // replicated groups are identical and dedup is exact for any op.
-      std::vector<std::pair<double, double>> blocks;
-      {
-        std::vector<std::pair<double, double>> iv;
-        iv.reserve(srecs.size() + crecs.size());
-        for (const auto* recs : {&srecs, &crecs})
-          for (const auto& r : *recs) iv.emplace_back(r.ymin, r.ymax);
-        std::sort(iv.begin(), iv.end());
-        for (const auto& [lo, hi] : iv) {
-          if (!blocks.empty() && lo <= blocks.back().second)
-            blocks.back().second = std::max(blocks.back().second, hi);
-          else
-            blocks.emplace_back(lo, hi);
-        }
-      }
-      auto closure = [&blocks](double lo, double hi) {
-        auto it = std::lower_bound(
-            blocks.begin(), blocks.end(), lo,
-            [](const std::pair<double, double>& b, double v) {
-              return b.second < v;
-            });
-        double nlo = lo, nhi = hi;
-        if (it != blocks.end() && it->first <= hi)
-          nlo = std::min(nlo, it->first);
-        while (it != blocks.end() && it->first <= hi) {
-          nhi = std::max(nhi, it->second);
-          ++it;
-        }
-        return std::make_pair(nlo, nhi);
-      };
-      std::vector<std::pair<double, double>> slab_range;
-      for (std::size_t t = 0; t < nslabs; ++t) {
-        const auto cl = closure(bounds[t], bounds[t + 1]);
-        if (!slab_range.empty() && slab_range.back() == cl) continue;
-        slab_range.push_back(cl);
-      }
-      slab_subject.resize(slab_range.size());
-      slab_clip_in.resize(slab_range.size());
-      pool.parallel_for(
-          slab_range.size(),
-          [&](std::size_t t) {
-            const double lo = slab_range[t].first, hi = slab_range[t].second;
-            for (std::size_t i = 0; i < srecs.size(); ++i)
-              if (srecs[i].ymin <= hi && srecs[i].ymax >= lo)
-                slab_subject[t].push_back(static_cast<std::uint32_t>(i));
-            for (std::size_t i = 0; i < crecs.size(); ++i)
-              if (crecs[i].ymin <= hi && crecs[i].ymax >= lo)
-                slab_clip_in[t].push_back(static_cast<std::uint32_t>(i));
-          },
-          /*grain=*/1);
-      work_extent = std::move(slab_range);
-      need_dedup = true;
-      break;
+    extents = std::move(closed);
+  }
+  slab_subject.resize(extents.size());
+  slab_clip_in.resize(extents.size());
+  // Replication (kReplicate, the paper's scheme, and kBlockClosure) puts
+  // both layers into every task whose extent their MBR y-range overlaps.
+  // Under kSubjectOwner each subject polygon goes to exactly one slab (the
+  // one holding its MBR midpoint) and the clip polygons it can interact
+  // with are replicated into that slab: every subject, and so every
+  // interacting pair, is clipped exactly once.
+  const bool owner = mode == MultisetAssign::kSubjectOwner;
+  std::vector<std::pair<double, double>> reach = extents;
+  if (owner) {
+    std::fill(reach.begin(), reach.end(),
+              std::pair{std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()});
+    for (std::size_t i = 0; i < srecs.size(); ++i) {
+      const PolyRec& r = srecs[i];
+      const double mid = 0.5 * (r.ymin + r.ymax);
+      const auto above = static_cast<std::size_t>(
+          std::upper_bound(bounds.begin(), bounds.end(), mid) -
+          bounds.begin());
+      const std::size_t t = std::min(above > 0 ? above - 1 : 0, nslabs - 1);
+      slab_subject[t].push_back(static_cast<std::uint32_t>(i));
+      reach[t].first = std::min(reach[t].first, r.ymin);
+      reach[t].second = std::max(reach[t].second, r.ymax);
     }
   }
-  const std::size_t nwork = slab_subject.size();
-  if (work_extent.empty())
-    for (std::size_t t = 0; t < nwork; ++t)
-      work_extent.emplace_back(bounds[t], bounds[t + 1]);
+  pool.parallel_for(
+      extents.size(),
+      [&](std::size_t t) {
+        if (!owner)
+          overlapping(srecs, extents[t].first, extents[t].second,
+                      slab_subject[t]);
+        overlapping(crecs, reach[t].first, reach[t].second, slab_clip_in[t]);
+      },
+      /*grain=*/1);
   par::gov::checkpoint_now();
 
   // ---- Fused setup: prepare every polygon once, globally. ----
@@ -313,418 +259,105 @@ geom::PolygonSet multiset_clip(const geom::PolygonSet& subject,
   // then concatenate the prepared fragments. Every prep step is
   // per-contour deterministic, so a fragment copy is bit for bit what a
   // materializing vatti_clip would have rebuilt inside the slab.
-  // Ownership as in slab_clip's fused setup: fragments are either prepared
-  // locally into the *_own vectors or fetched from
-  // MultisetOptions::prepared_cache and held alive by the *_held
-  // shared_ptrs; slab tasks read only the *_prep pointer views (null =
-  // degenerate after cleaning).
-  std::vector<seq::PreparedContour> sub_own, clip_own;
-  std::vector<std::shared_ptr<const seq::PreparedContour>> sub_held, clip_held;
-  std::vector<const seq::PreparedContour*> sub_prep, clip_prep;
   if (opts.fused) {
     obs::ScopedSpan prep_span(sink, "multiset.fused_prep", obs::Cat::kPhase);
-    auto prep_recs = [&](const std::vector<PolyRec>& recs,
-                         std::vector<seq::PreparedContour>& own,
-                         std::vector<std::shared_ptr<
-                             const seq::PreparedContour>>& held,
-                         std::vector<const seq::PreparedContour*>& prep,
-                         bool is_clip) {
-      prep.assign(recs.size(), nullptr);
-      if (opts.prepared_cache)
-        held.resize(recs.size());
-      else
-        own.resize(recs.size());
-      pool.parallel_for(
-          recs.size(),
-          [&](std::size_t i) {
-            if (opts.prepared_cache) {
-              held[i] =
-                  opts.prepared_cache->prepared(*recs[i].contour, is_clip);
-              prep[i] = held[i].get();
-            } else if (seq::prepare_contour(*recs[i].contour, is_clip,
-                                            own[i])) {
-              prep[i] = &own[i];
-            }
+    for (Layer& l : layers)
+      l.prep = prepare_input(
+          pool, l.recs.size(),
+          [&](std::size_t i) -> const geom::Contour& {
+            return *l.recs[i].contour;
           },
-          /*grain=*/16);
-    };
-    prep_recs(srecs, sub_own, sub_held, sub_prep, /*is_clip=*/false);
-    prep_recs(crecs, clip_own, clip_held, clip_prep, /*is_clip=*/true);
+          l.is_clip, opts.prepared_cache);
   }
-  const double t_assign = phase_timer.seconds();
-  const double t_assign_cpu = phase_cpu_timer.seconds();
-  phase_timer.reset();
-  assign_span.arg("slab_tasks", static_cast<std::int64_t>(nwork));
+  assign_span.arg("slab_tasks", static_cast<std::int64_t>(extents.size()));
   assign_span.end();
 
   // ---- Per-slab sequential clipping, all slabs in parallel. ----
-  struct SlabOut {
-    geom::PolygonSet result;
-    SlabLoad load;
-    DegradationReport report;
-    bool exhausted = false;
-    /// The slab's ladder ran to a verdict (success or exhausted). False
-    /// means the scheduler never ran the body — a governance trip escaped
-    /// through parallel_for's own chunk checkpoints — and the caller must
-    /// finish the slab itself so it gets routed below.
-    bool done = false;
-  };
-  std::vector<SlabOut> outs(nwork);
-
   // One attempt at one slab. The slab id lists are immutable during the
-  // clip phase, so a retry simply re-reads them; the only state a rung
-  // sheds is the worker-local arena. Throws on failure with outs[t] reset.
+  // clip phase, so a retry simply re-reads them.
   //
-  // Healthy + fused: concatenate the globally prepared bound fragments of
-  // the slab's polygons into the arena's bound table, run-merge their
-  // schedule ys, and sweep — no contour copies, no re-preparation, no
-  // schedule sort. kRetrySafe (and fused off) materializes the slab's
-  // PolygonSets from the id lists and runs the ordinary vatti_clip, which
-  // rebuilds the same table bit for bit (per-contour deterministic prep).
-  auto attempt_slab = [&](std::size_t t, Rung rung) {
-    SlabOut& so = outs[t];
-    so.result = geom::PolygonSet{};
-    so.load = SlabLoad{};
-    // Cooperative checkpoint at attempt entry, then a budget charge scoped
-    // to this attempt: raised to the arena capacity watermark (fused) or
-    // the materialized slab input size, released when the attempt ends —
-    // concurrent attempts charge the sum of their live scratch.
-    par::gov::checkpoint_now();
-    par::gov::ScopedCharge arena_charge;
+  // Healthy + fused: a slab holds whole polygons, so every one is an
+  // *inside* contour of the slab — clip_bounds_to_slab concatenates their
+  // prepared bound fragments into the arena's bound table and their
+  // schedule ys as runs, and the sweep follows: no contour copies, no
+  // re-preparation, no schedule sort. kRetrySafe (and fused off)
+  // materializes the slab's PolygonSets from the id lists and runs the
+  // ordinary vatti_clip, which rebuilds the same table bit for bit
+  // (per-contour deterministic prep).
+  auto attempt = [&](std::size_t t, Rung /*rung*/, SlabArena* arena,
+                     par::gov::ScopedCharge& charge, SlabWork& w) {
     par::WallTimer timer;
     par::ThreadCpuTimer cpu_timer;
     seq::VattiStats vs;
-    if (rung == Rung::kHealthy && opts.fused) {
-      par::fault::inject(par::fault::Site::kFusedBounds);
-      SlabArena& arena = worker_arena();
-      ++arena.tasks_served;
-      seq::VattiScratch& scratch = arena.vatti;
-      seq::BoundTable& bt = seq::scratch_bounds(scratch);
+    if (arena && opts.fused) {
+      seq::BoundTable& bt = seq::scratch_bounds(arena->vatti);
       bt.edges.clear();
       bt.minima.clear();
-      std::vector<double>& ys = seq::scratch_schedule(scratch);
+      std::vector<double>& ys = seq::scratch_schedule(arena->vatti);
       ys.clear();
-      arena.run_end.clear();
-      arena.run_end.push_back(0);
+      arena->run_end.assign(1, 0);
+      seq::FusedClipStats fstats;
       bool finite = true;
-      auto append_ids = [&](const std::vector<std::uint32_t>& ids,
-                            const std::vector<
-                                const seq::PreparedContour*>& prep) {
-        for (const std::uint32_t id : ids) {
-          if (!prep[id]) continue;  // degenerate after cleaning: skipped,
-                                    // same as the materializing prep loop
-          const seq::PreparedContour& pc = *prep[id];
-          if (!pc.finite) {
-            finite = false;
-            continue;
-          }
-          seq::append_prepared(bt, pc);
-          so.load.touched_edges +=
-              static_cast<std::int64_t>(pc.bt.edges.size());
-          if (!pc.ys.empty()) {
-            ys.insert(ys.end(), pc.ys.begin(), pc.ys.end());
-            arena.run_end.push_back(ys.size());
-          }
-        }
-      };
-      append_ids(slab_subject[t], sub_prep);
-      append_ids(slab_clip_in[t], clip_prep);
+      for (const Layer& l : layers) {
+        arena->refs.clear();
+        for (const std::uint32_t id : l.slab_ids[t])
+          arena->refs.push_back({l.prep.prep[id], l.recs[id].contour,
+                                 /*inside=*/true, /*in_shared=*/false});
+        if (!seq::clip_bounds_to_slab(arena->refs, geom::BBox{},
+                                      seq::RectClipMethod::kVatti, l.is_clip,
+                                      &arena->rect, bt, ys, arena->run_end,
+                                      &fstats))
+          finite = false;
+      }
       seq::sort_minima(bt);
-      arena_charge.raise_to(arena.resident_bytes());
-      so.load.bound_build_ns =
-          static_cast<std::int64_t>(timer.seconds() * 1e9);
+      charge.raise_to(arena->resident_bytes());
+      w.load.touched_edges = fstats.touched_edges;
+      w.load.bound_build_ns = static_cast<std::int64_t>(timer.seconds() * 1e9);
       if (!finite)
         throw Error(ErrorCode::kNonFinite,
                     "non-finite vertex in multiset slab " +
                         std::to_string(t) + " input");
       par::WallTimer sched_timer;
-      seq::merge_sorted_runs_unique(ys, arena.run_end);
-      so.load.schedule_ns =
+      seq::merge_sorted_runs_unique(ys, arena->run_end);
+      w.load.schedule_ns =
           static_cast<std::int64_t>(sched_timer.seconds() * 1e9);
-      so.result = seq::vatti_sweep_prepared(op, &vs, scratch,
-                                            opts.sweep_kernel,
-                                            /*prebuilt_schedule=*/true);
-      if (par::fault::corrupt(par::fault::Site::kArena)) {
-        const double nan = std::numeric_limits<double>::quiet_NaN();
-        so.result.add({{nan, nan}, {0.0, 0.0}, {1.0, 1.0}});
-      }
+      w.result = seq::vatti_sweep_prepared(op, &vs, arena->vatti,
+                                           opts.sweep_kernel,
+                                           /*prebuilt_schedule=*/true);
     } else {
-      geom::PolygonSet a_t, b_t;
-      auto materialize = [](const std::vector<std::uint32_t>& ids,
-                            const std::vector<PolyRec>& recs,
-                            geom::PolygonSet& set) {
-        set.contours.reserve(ids.size());
-        for (const std::uint32_t id : ids)
-          set.contours.push_back(*recs[id].contour);
-      };
-      materialize(slab_subject[t], srecs, a_t);
-      materialize(slab_clip_in[t], crecs, b_t);
-      arena_charge.raise_to(
-          (a_t.num_vertices() + b_t.num_vertices()) * sizeof(geom::Point));
-      so.load.touched_edges = static_cast<std::int64_t>(
-          a_t.num_vertices() + b_t.num_vertices());
-      if (rung == Rung::kHealthy) {
-        SlabArena& arena = worker_arena();
-        ++arena.tasks_served;
-        so.result = seq::vatti_clip(a_t, b_t, op, &vs, &arena.vatti,
-                                    opts.sweep_kernel);
-        if (par::fault::corrupt(par::fault::Site::kArena)) {
-          const double nan = std::numeric_limits<double>::quiet_NaN();
-          so.result.add({{nan, nan}, {0.0, 0.0}, {1.0, 1.0}});
-        }
-      } else {  // kRetrySafe: fresh scratch, no arena — bit-identical rerun.
-        so.result =
-            seq::vatti_clip(a_t, b_t, op, &vs, nullptr, opts.sweep_kernel);
+      geom::PolygonSet in[2];
+      for (int k = 0; k < 2; ++k) {
+        in[k].contours.reserve(layers[k].slab_ids[t].size());
+        for (const std::uint32_t id : layers[k].slab_ids[t])
+          in[k].contours.push_back(*layers[k].recs[id].contour);
       }
-      so.load.bound_build_ns = vs.bound_build_ns;
-      so.load.schedule_ns = vs.schedule_ns;
+      const std::size_t verts = in[0].num_vertices() + in[1].num_vertices();
+      charge.raise_to(verts * sizeof(geom::Point));
+      w.load.touched_edges = static_cast<std::int64_t>(verts);
+      w.result = seq::vatti_clip(in[0], in[1], op, &vs,
+                                 arena ? &arena->vatti : nullptr,
+                                 opts.sweep_kernel);
+      w.load.bound_build_ns = vs.bound_build_ns;
+      w.load.schedule_ns = vs.schedule_ns;
     }
-    so.load.seconds = timer.seconds();
-    so.load.cpu_seconds = cpu_timer.seconds();
-    so.load.input_edges = vs.edges;
-    so.load.output_vertices = vs.output_vertices;
-    if (rung == Rung::kHealthy) {
-      // Both healthy branches ran on the worker arena; kRetrySafe uses
-      // fresh scratch that is freed with the attempt and reports 0.
-      so.load.peak_arena_bytes =
-          static_cast<std::int64_t>(worker_arena().resident_bytes());
-      if (sink)
-        sink->observe("multiset.slab_peak_arena_bytes",
-                      static_cast<double>(so.load.peak_arena_bytes));
-    }
-    if (sink) sink->observe("multiset.slab_clip_seconds", so.load.seconds);
-    if (!geom::is_finite(so.result))
-      throw Error(ErrorCode::kNonFinite,
-                  "non-finite vertex in multiset slab " + std::to_string(t) +
-                      " output");
+    w.load.seconds = timer.seconds();
+    w.load.cpu_seconds = cpu_timer.seconds();
+    w.load.input_edges = vs.edges;
+    w.load.output_vertices = vs.output_vertices;
   };
 
-  obs::ScopedSpan clip_span(sink, "multiset.clip", obs::Cat::kPhase);
-  const obs::SpanId clip_id = clip_span.id();
-
-  const auto run_slab = [&](std::size_t t) {
-        // Deterministic fault key: plans keyed on slab t fire for slab t
-        // regardless of which worker the pool hands it to.
-        par::fault::ScopedKey key(t);
-        obs::ScopedSpan slab_span(sink, "multiset.slab", obs::Cat::kSlab,
-                                  clip_id);
-        slab_span.arg("slab", static_cast<std::int64_t>(t));
-        if (!opts.isolate_faults) {
-          attempt_slab(t, Rung::kHealthy);
-          outs[t].done = true;
-          return;
-        }
-        SlabOut& so = outs[t];
-        so.done = true;
-        so.report.attempts = 0;
-        bool recorded = false;
-        for (const Rung rung : {Rung::kHealthy, Rung::kRetrySafe}) {
-          // Governance gate (same contract as slab_clip's run_ladder): a
-          // cancelled request, expired deadline or sticky blown budget makes
-          // every further rung hopeless — abandon the slab. A transient
-          // budget failure passes and gets its byte-identical retry.
-          try {
-            par::gov::checkpoint_now();
-          } catch (const Error& e) {
-            if (!recorded) {
-              so.report.cause = e.code();
-              so.report.message = e.what();
-              recorded = true;
-            }
-            break;
-          }
-          ++so.report.attempts;
-          obs::ScopedSpan rung_span(sink, to_string(rung), obs::Cat::kRung);
-          rung_span.arg("rung", static_cast<std::int64_t>(rung));
-          try {
-            attempt_slab(t, rung);
-            so.report.rung = rung;
-            slab_span.arg("rung", static_cast<std::int64_t>(rung));
-            slab_span.arg("attempts", so.report.attempts);
-            return;
-          } catch (const Error& e) {
-            rung_span.arg("failed", 1);
-            if (!recorded) {
-              so.report.cause = e.code();
-              so.report.message = e.what();
-              recorded = true;
-            }
-          } catch (const std::bad_alloc&) {
-            rung_span.arg("failed", 1);
-            if (!recorded) {
-              so.report.cause = ErrorCode::kResource;
-              so.report.message = "std::bad_alloc";
-              recorded = true;
-            }
-          } catch (const std::exception& e) {
-            rung_span.arg("failed", 1);
-            if (!recorded) {
-              so.report.cause = ErrorCode::kSlabFailure;
-              so.report.message = e.what();
-              recorded = true;
-            }
-          } catch (...) {
-            rung_span.arg("failed", 1);
-            if (!recorded) {
-              so.report.cause = ErrorCode::kSlabFailure;
-              so.report.message = "unknown exception";
-              recorded = true;
-            }
-          }
-        }
-        so.result = geom::PolygonSet{};
-        so.exhausted = true;
-        slab_span.arg("exhausted", 1);
+  SlabJob job;
+  job.extents = std::move(extents);
+  job.rungs = kLadder;
+  job.attempt = attempt;
+  job.whole_input = [&] {
+    return seq::vatti_clip(subject, clip, op, nullptr, nullptr,
+                           opts.sweep_kernel);
   };
-  try {
-    pool.parallel_for(nwork, run_slab, /*grain=*/1);
-  } catch (...) {
-    // The slab bodies themselves never throw under fault isolation, so
-    // this is a governance trip that escaped through parallel_for's own
-    // chunk-boundary checkpoints, skipping not-yet-started slabs. The
-    // condition is sticky (cancel flag, expired deadline, blown budget),
-    // so finishing the skipped slabs on the calling thread makes each
-    // trip its ladder gate immediately and routes it below — partial
-    // result or precise error, same as slabs the gate caught directly.
-    if (!opts.isolate_faults) throw;  // fail-fast contract
-    for (std::size_t t = 0; t < nwork; ++t)
-      if (!outs[t].done) run_slab(t);
-    bool any_exhausted = false;
-    for (const auto& so : outs) any_exhausted = any_exhausted || so.exhausted;
-    if (!any_exhausted) throw;  // not governance after all — don't swallow it
-  }
-
-  // Exhausted slabs split two ways (same policy as slab_clip): slabs the
-  // governance gate abandoned must NOT reach the whole-input fallback —
-  // recomputing everything sequentially is the most expensive possible
-  // response to "stop spending resources". They become a partial result
-  // (allow_partial) or fail the request with the precise governance code;
-  // only fault-exhausted slabs take the whole-input rung.
-  PartialReport partial;
-  bool fault_exhausted = false, gov_exhausted = false;
-  for (const auto& so : outs)
-    if (so.exhausted) {
-      if (is_governance(so.report.cause))
-        gov_exhausted = true;
-      else
-        fault_exhausted = true;
-    }
-  if (gov_exhausted && !opts.allow_partial) {
-    par::gov::rethrow_if_stopped();
-    for (const auto& so : outs)
-      if (so.exhausted && is_governance(so.report.cause))
-        throw Error(so.report.cause, so.report.message);
-  }
-  if (gov_exhausted) {
-    // Completed slabs keep their outputs (dedup still runs over them);
-    // abandoned slabs are simply missing, named by task index and y-extent.
-    partial.partial = true;
-    for (const auto& so : outs)
-      if (so.exhausted && is_governance(so.report.cause)) {
-        partial.cause = so.report.cause;
-        partial.message = so.report.message;
-        break;
-      }
-    for (std::size_t t = 0; t < nwork; ++t) {
-      SlabOut& so = outs[t];
-      if (!so.exhausted) continue;
-      so.report.rung = Rung::kPartialResult;
-      if (!partial.missing.empty() && partial.missing.back().last + 1 == t) {
-        partial.missing.back().last = t;
-        partial.missing.back().y_hi = work_extent[t].second;
-      } else {
-        partial.missing.push_back(
-            {t, t, work_extent[t].first, work_extent[t].second});
-      }
-    }
-  } else if (fault_exhausted) {
-    // Final rung: one sequential clip of the whole multisets, replacing
-    // every per-slab output (same region; contours are no longer grouped
-    // per slab and dedup becomes unnecessary). Runs keyless so slab-keyed
-    // fault plans cannot follow the computation here.
-    par::fault::ScopedKey key(par::fault::kNoKey);
-    obs::ScopedSpan whole_span(sink, to_string(Rung::kWholeInput),
-                               obs::Cat::kRung);
-    whole_span.arg("rung", static_cast<std::int64_t>(Rung::kWholeInput));
-    geom::PolygonSet whole = seq::vatti_clip(subject, clip, op, nullptr,
-                                             nullptr, opts.sweep_kernel);
-    for (auto& so : outs) {
-      so.result = geom::PolygonSet{};
-      so.report.rung = Rung::kWholeInput;
-    }
-    outs[0].result = std::move(whole);
-    need_dedup = false;
-  }
-  const double t_clip = phase_timer.seconds();
-  phase_timer.reset();
-  clip_span.end();
-
-  // ---- Post-processing: concatenate; drop replicated duplicates. ----
-  // merge_cpu comes from the thread CPU clock (the merge runs on the caller
-  // only; wall time also charges caller descheduling).
-  obs::ScopedSpan merge_span(sink, "multiset.merge", obs::Cat::kPhase);
-  par::ThreadCpuTimer merge_cpu_timer;
-  geom::PolygonSet merged;
-  for (auto& so : outs)
-    for (auto& c : so.result.contours)
-      merged.contours.push_back(std::move(c));
-  std::int64_t dups = 0;
-  geom::PolygonSet out = need_dedup
-                             ? drop_duplicates(std::move(merged), &dups)
-                             : std::move(merged);
-  const double t_merge = phase_timer.seconds();
-  const double t_merge_cpu = merge_cpu_timer.seconds();
-  merge_span.arg("output_contours",
-                 static_cast<std::int64_t>(out.num_contours()));
-  merge_span.arg("duplicates_removed", dups);
-  merge_span.end();
-
-  if (sink) {
-    std::int64_t degraded = 0;
-    for (const auto& so : outs)
-      if (so.report.rung != Rung::kHealthy) ++degraded;
-    req_span.arg("degraded_slabs", degraded);
-    sink->add_counter("multiset.requests", 1);
-    sink->add_counter("multiset.slabs", static_cast<std::int64_t>(nwork));
-    sink->add_counter("multiset.degraded_slabs", degraded);
-    sink->observe("multiset.request_seconds", req_timer.seconds());
-    if (partial.partial) {
-      req_span.arg("partial", 1);
-      req_span.arg("missing_slabs",
-                   static_cast<std::int64_t>(partial.missing_slabs()));
-      sink->add_counter("multiset.partial_requests", 1);
-      sink->add_counter("multiset.missing_slabs",
-                        static_cast<std::int64_t>(partial.missing_slabs()));
-    }
-    if (const par::ResourceBudget* b = opts.cancel.budget())
-      sink->observe("gov.peak_budget_bytes", static_cast<double>(b->peak()));
-  }
-
-  if (stats) {
-    stats->slabs.clear();
-    stats->degradation.clear();
-    for (const auto& so : outs) {
-      stats->slabs.push_back(so.load);
-      stats->degradation.push_back(so.report);
-    }
-    // Wall and CPU split (see PhaseTimes): the event/assignment/prep passes
-    // run as caller-side sections (their CPU is the caller's thread CPU
-    // clock over the same window); the clip phase is the parallel region,
-    // so its cpu time is the per-slab sum of thread-CPU clip times, which
-    // can exceed the region's wall time p-fold.
-    double clip_cpu_in_slabs = 0.0;
-    for (const auto& so : outs) clip_cpu_in_slabs += so.load.cpu_seconds;
-    stats->phases.partition = t_events + t_assign;
-    stats->phases.clip = t_clip;
-    stats->phases.merge = t_merge;
-    stats->phases.partition_cpu = t_assign_cpu;
-    stats->phases.clip_cpu = clip_cpu_in_slabs;
-    stats->phases.merge_cpu = t_merge_cpu;
-    stats->output_contours = static_cast<std::int64_t>(out.num_contours());
-    stats->duplicates_removed = dups;
-    stats->partial = partial;
-  }
-  return out;
+  // Post-processing: replicated pairs produce the same output in every
+  // slab that holds them; keep one copy.
+  if (!owner) job.dedup = drop_duplicates;
+  return runner.run(job, stats);
 }
 
 }  // namespace psclip::mt

@@ -1,11 +1,26 @@
 #include "mt/slab_index.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "parallel/scan.hpp"
 #include "parallel/sort.hpp"
 
 namespace psclip::mt {
+
+std::vector<double> slab_bounds(std::span<const double> events, double lo,
+                                double hi, unsigned slabs) {
+  std::vector<double> bounds{lo};
+  const std::size_t n = events.size();
+  for (unsigned t = 1; t < slabs; ++t) {
+    const std::size_t cut = t * n / slabs;
+    if (cut == 0 || cut >= n) continue;
+    const double b = 0.5 * (events[cut - 1] + events[cut]);
+    if (b > bounds.back()) bounds.push_back(b);
+  }
+  if (hi > bounds.back()) bounds.push_back(hi);
+  return bounds;
+}
 
 SlabRange slab_range(double ymin, double ymax, std::span<const double> bounds,
                      std::size_t nslabs) {
@@ -91,15 +106,14 @@ SlabContourIndex build_slab_index(par::ThreadPool& pool,
     return a.entry.contour < b.entry.contour;
   });
 
-  idx.entries.resize(recs.size());
-  for (std::size_t i = 0; i < recs.size(); ++i) idx.entries[i] = recs[i].entry;
-  // Per-slab offsets from the sorted slab keys (p binary searches).
-  for (std::size_t t = 1; t <= nslabs; ++t) {
-    const auto it = std::lower_bound(
-        recs.begin(), recs.end(), t,
-        [](const Rec& r, std::size_t key) { return r.slab < key; });
-    idx.offsets[t] = it - recs.begin();
+  // Entries in slab order; per-slab offsets from the slab counts.
+  idx.entries.reserve(recs.size());
+  for (const Rec& r : recs) {
+    idx.entries.push_back(r.entry);
+    ++idx.offsets[r.slab + 1];
   }
+  std::partial_sum(idx.offsets.begin(), idx.offsets.end(),
+                   idx.offsets.begin());
   return idx;
 }
 

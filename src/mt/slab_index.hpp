@@ -65,6 +65,15 @@ struct SlabRange {
   [[nodiscard]] bool single() const { return lo == hi; }
 };
 
+/// Slab boundaries with (nearly) equal event counts per slab: `lo`, then
+/// one cut midway between the two sorted `events` at each multiple of
+/// events.size() / slabs (skipping cuts that would not increase), then
+/// `hi` when above the last cut. Both engines place their slabs this way —
+/// slab_clip over distinct vertex ordinates, multiset_clip over MBR
+/// y-extents — so no event lies exactly on an interior boundary.
+std::vector<double> slab_bounds(std::span<const double> events, double lo,
+                                double hi, unsigned slabs);
+
 /// Compute the slab range of one y-interval against the (strictly
 /// increasing) slab boundary array — the classification primitive behind
 /// build_slab_index, exported for the fused partition's well-contained

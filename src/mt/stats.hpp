@@ -1,7 +1,9 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "error.hpp"
@@ -12,12 +14,12 @@ namespace psclip::mt {
 /// in declaration order; each is strictly more conservative (and slower)
 /// than the one before it.
 enum class Rung : std::uint8_t {
-  /// The configured fast path (indexed partition + worker arena) succeeded.
+  /// The configured fast path (fused partition + worker arena) succeeded.
   kHealthy = 0,
-  /// Retry on safe settings: broadcast partition (slab_clip) or re-read
-  /// shared slab inputs (multiset_clip), fresh scratch, no arena. Produces
-  /// bit-identical output to the healthy path — the recovery rung for every
-  /// transient or state-corruption fault.
+  /// Retry on safe settings: broadcast partition (slab_clip) or the slab's
+  /// polygons materialized from its id lists (multiset_clip), fresh
+  /// scratch, no arena. Produces bit-identical output to the healthy path —
+  /// the recovery rung for every transient or state-corruption fault.
   kRetrySafe,
   /// slab_clip only: broadcast partition with the *alternate* rectangle
   /// clipper (Vatti if the configured method was Greiner–Hormann, and vice
@@ -110,12 +112,11 @@ struct SlabLoad {
   /// work the slab's Step 6 really did, not the raw vertex count handed in.
   std::int64_t input_edges = 0;
   std::int64_t output_vertices = 0;
-  /// Input vertices the *partition* step read for this slab. Broadcast
-  /// partitioning scans every contour of both inputs per slab; the indexed
-  /// partition only reads contours whose y-interval overlaps the slab; the
-  /// fused partition counts the bound edges it appends (prepared fragments
-  /// are copied, not re-derived). Deterministic (no timing noise), which
-  /// makes it the CI-gateable ablation metric.
+  /// Input the *partition* step read for this slab. Broadcast partitioning
+  /// scans every vertex of both inputs per slab; the fused partition counts
+  /// the bound edges it appends for the contours the slab overlaps
+  /// (prepared fragments are copied, not re-derived). Deterministic (no
+  /// timing noise), which makes it the CI-gateable ablation metric.
   std::int64_t touched_edges = 0;
   /// Nanoseconds this slab spent building bounds (fused: fragment copies +
   /// piece prep inside clip_bounds_to_slab; materializing paths: the
@@ -137,10 +138,10 @@ struct SlabLoad {
   std::int64_t peak_arena_bytes = 0;
 };
 
-/// Per-worker scheduling record for one Algorithm 2 run under the
-/// work-stealing slab scheduler: how much slab work each worker actually
-/// executed and how it got it. The last entry (index == pool size) is the
-/// calling thread, which helps drain the queue while it waits.
+/// Per-worker scheduling record for one slab_clip / multiset_clip run under
+/// the work-stealing slab scheduler: how much slab work each worker
+/// actually executed and how it got it. The last entry (index == pool size)
+/// is the calling thread, which helps drain the queue while it waits.
 struct WorkerLoad {
   std::uint64_t slab_jobs = 0;     ///< slab tasks this worker executed
   std::uint64_t steals = 0;        ///< steal-half operations (pool delta)
@@ -181,7 +182,7 @@ struct PartialReport {
 struct Alg2Stats {
   PhaseTimes phases;
   std::vector<SlabLoad> slabs;
-  std::vector<WorkerLoad> workers;  ///< slab scheduler only (see WorkerLoad)
+  std::vector<WorkerLoad> workers;  ///< see WorkerLoad
   /// Per-slab fault-isolation record, index-aligned with `slabs`. When the
   /// whole-input fallback fired, every entry reports Rung::kWholeInput.
   std::vector<DegradationReport> degradation;
@@ -208,13 +209,8 @@ struct Alg2Stats {
 
   /// max(slab time) / mean(slab time): 1.0 = perfectly balanced.
   [[nodiscard]] double load_imbalance() const {
-    if (slabs.empty()) return 1.0;
-    double sum = 0.0, mx = 0.0;
-    for (const auto& s : slabs) {
-      sum += s.seconds;
-      if (s.seconds > mx) mx = s.seconds;
-    }
-    const double mean = sum / static_cast<double>(slabs.size());
+    const auto [sum, mx] = sum_max(slabs, &SlabLoad::seconds);
+    const double mean = slabs.empty() ? 0.0 : sum / slabs.size();
     return mean > 0.0 ? mx / mean : 1.0;
   }
 
@@ -223,12 +219,7 @@ struct Alg2Stats {
   /// is the quantity whose *shape* must match the paper's scaling figures
   /// regardless of how many cores the host actually has.
   [[nodiscard]] double ideal_speedup() const {
-    if (slabs.empty()) return 1.0;
-    double sum = 0.0, mx = 0.0;
-    for (const auto& s : slabs) {
-      sum += s.seconds;
-      if (s.seconds > mx) mx = s.seconds;
-    }
+    const auto [sum, mx] = sum_max(slabs, &SlabLoad::seconds);
     return mx > 0.0 ? sum / mx : 1.0;
   }
 
@@ -238,13 +229,8 @@ struct Alg2Stats {
   /// skewed (Fig. 11), but oversubscription + stealing spreads them evenly
   /// across workers.
   [[nodiscard]] double worker_imbalance() const {
-    if (workers.empty()) return 1.0;
-    double sum = 0.0, mx = 0.0;
-    for (const auto& w : workers) {
-      sum += w.busy_seconds;
-      if (w.busy_seconds > mx) mx = w.busy_seconds;
-    }
-    const double mean = sum / static_cast<double>(workers.size());
+    const auto [sum, mx] = sum_max(workers, &WorkerLoad::busy_seconds);
+    const double mean = workers.empty() ? 0.0 : sum / workers.size();
     return mean > 0.0 ? mx / mean : 1.0;
   }
 
@@ -253,6 +239,19 @@ struct Alg2Stats {
     std::uint64_t s = 0;
     for (const auto& w : workers) s += w.steals;
     return s;
+  }
+
+ private:
+  /// Sum and maximum of one field over `items`.
+  template <typename T>
+  static std::pair<double, double> sum_max(const std::vector<T>& items,
+                                           double T::*field) {
+    double sum = 0.0, mx = 0.0;
+    for (const T& it : items) {
+      sum += it.*field;
+      mx = std::max(mx, it.*field);
+    }
+    return {sum, mx};
   }
 };
 

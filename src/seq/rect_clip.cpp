@@ -13,8 +13,8 @@ namespace {
 
 /// Run the selected clipper on the boundary-straddling contours against the
 /// rectangle ring and append the pieces to `out`. Shared by the broadcast
-/// path (rect_clip) and the indexed path (rect_clip_subset) so the two
-/// produce bit-identical output for the same straddling set.
+/// path (rect_clip) and the fused path (clip_bounds_to_slab) so the two
+/// produce bit-identical pieces for the same straddling set.
 void clip_straddling(const geom::PolygonSet& straddling,
                      const geom::BBox& rect, RectClipMethod method,
                      geom::PolygonSet& out) {
@@ -74,54 +74,28 @@ geom::PolygonSet rect_clip(const geom::PolygonSet& subject,
   return out;
 }
 
-geom::PolygonSet rect_clip_subset(
-    std::span<const geom::Contour* const> contours,
-    std::span<const std::uint8_t> inside, const geom::BBox& rect,
-    RectClipMethod method, RectClipScratch* scratch) {
-  assert(contours.size() == inside.size());
-  geom::PolygonSet out;
-  RectClipScratch local;
-  RectClipScratch& sc = scratch ? *scratch : local;
-  sc.straddling.contours.clear();
-  for (std::size_t i = 0; i < contours.size(); ++i) {
-    if (inside[i])
-      out.contours.push_back(*contours[i]);  // move-not-clip fast path
-    else
-      sc.straddling.contours.push_back(*contours[i]);
-  }
-  if (sc.straddling.empty()) return out;
-  clip_straddling(sc.straddling, rect, method, out);
-  return out;
-}
-
-bool clip_bounds_to_slab(std::span<const PreparedContour* const> prepared,
-                         std::span<const geom::Contour* const> originals,
-                         std::span<const std::uint8_t> inside,
-                         std::span<const std::uint8_t> in_shared,
+bool clip_bounds_to_slab(std::span<const SlabContourRef> contours,
                          const geom::BBox& rect, RectClipMethod method,
                          bool is_clip, RectClipScratch* scratch,
                          BoundTable& bt, std::vector<double>& ys,
                          std::vector<std::size_t>& run_end,
                          FusedClipStats* stats) {
-  assert(prepared.size() == inside.size());
-  assert(originals.size() == inside.size());
-  assert(in_shared.size() == inside.size());
   assert(!run_end.empty() && run_end.back() == ys.size());
   par::fault::inject(par::fault::Site::kFusedBounds);
   RectClipScratch local;
   RectClipScratch& sc = scratch ? *scratch : local;
   bool finite = true;
 
-  // Inside contours first, in list order — the emission order
-  // rect_clip_subset hands the set pipeline, so the assembled table's
-  // pre-sort minima sequence is identical to the materializing path's.
+  // Inside contours first, in list order — the order in which rect_clip
+  // emits them to the set pipeline, so the assembled table's pre-sort
+  // minima sequence is identical to the materializing path's.
   sc.straddling.contours.clear();
-  for (std::size_t i = 0; i < prepared.size(); ++i) {
-    if (!inside[i]) {
-      sc.straddling.contours.push_back(*originals[i]);
+  for (const SlabContourRef& ref : contours) {
+    if (!ref.inside) {
+      sc.straddling.contours.push_back(*ref.original);
       continue;
     }
-    const PreparedContour* pc = prepared[i];
+    const PreparedContour* pc = ref.prepared;
     if (pc == nullptr) continue;  // degenerate after prep: no bounds
     if (!pc->finite) {
       // The materializing path would carry the non-finite vertex into the
@@ -133,7 +107,7 @@ bool clip_bounds_to_slab(std::span<const PreparedContour* const> prepared,
     append_prepared(bt, *pc);
     if (stats)
       stats->touched_edges += static_cast<std::int64_t>(pc->bt.edges.size());
-    if (!in_shared[i] && !pc->ys.empty()) {
+    if (!ref.in_shared && !pc->ys.empty()) {
       // Stray: inside by the (closed-interval) index but not strictly
       // contained in this slab's open interval once prepared — its ys are
       // not covered by the shared global schedule slice, so merge them as
@@ -143,7 +117,7 @@ bool clip_bounds_to_slab(std::span<const PreparedContour* const> prepared,
     }
   }
 
-  // Straddling contours: identical pieces to rect_clip/rect_clip_subset
+  // Straddling contours: identical pieces to rect_clip
   // (same clipper, same straddling set, same kRectClip fault sites), but
   // each piece goes straight through the shared per-contour prep into the
   // bound table — never into an intermediate slab polygon set.

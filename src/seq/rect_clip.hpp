@@ -31,7 +31,7 @@ geom::PolygonSet rect_clip(const geom::PolygonSet& subject,
                            const geom::BBox& rect,
                            RectClipMethod method = RectClipMethod::kGreinerHormann);
 
-/// Reusable scratch for rect_clip_subset / clip_bounds_to_slab: the
+/// Reusable scratch for clip_bounds_to_slab: the
 /// staging buffers survive between calls (a slab-arena worker resets them
 /// instead of reallocating them for every slab task).
 struct RectClipScratch {
@@ -40,20 +40,14 @@ struct RectClipScratch {
   PreparedContour piece_prep;   ///< clip_bounds_to_slab: per-piece prep
 };
 
-/// Clip a pre-selected subset of contours (a slab's overlap list, in input
-/// order) to the rectangle. `inside[i]` marks contours[i] as lying fully
-/// inside `rect` — precomputed from cached bounding boxes by the slab
-/// index — and such contours are moved through untouched; the rest run
-/// through the selected clipper together.
-///
-/// Produces output identical to rect_clip() on a PolygonSet holding exactly
-/// these contours in this order, but without re-deriving any bounding box:
-/// the caller's index already decided overlap and containment.
-geom::PolygonSet rect_clip_subset(
-    std::span<const geom::Contour* const> contours,
-    std::span<const std::uint8_t> inside, const geom::BBox& rect,
-    RectClipMethod method = RectClipMethod::kGreinerHormann,
-    RectClipScratch* scratch = nullptr);
+/// One contour of a slab's overlap list, as clip_bounds_to_slab reads it.
+struct SlabContourRef {
+  /// Globally prepared bound fragment; null = degenerate after prep.
+  const PreparedContour* prepared = nullptr;
+  const geom::Contour* original = nullptr;
+  bool inside = false;     ///< fully inside the slab rectangle
+  bool in_shared = false;  ///< schedule ys covered by the shared global slice
+};
 
 /// Deterministic work counters of one clip_bounds_to_slab call.
 struct FusedClipStats {
@@ -71,21 +65,21 @@ struct FusedClipStats {
 /// contours*. For one input (subject or clip) of one slab, append directly
 /// to `bt`:
 ///
-///  - contours fully inside the slab (`inside[i]`): their globally prepared
-///    bound fragment `prepared[i]` is copied in with index fixups
+///  - contours fully inside the slab (`inside`): their globally prepared
+///    bound fragment `prepared` is copied in with index fixups
 ///    (append_prepared) — no re-clean, no re-perturbation, no per-slab
-///    bound re-derivation. `prepared[i]` may be null (degenerate after
+///    bound re-derivation. `prepared` may be null (degenerate after
 ///    prep: contributes nothing, exactly as the set pipeline drops it).
-///  - boundary-straddling contours: `originals[i]` runs through the
-///    selected rectangle clipper (byte-identical pieces to
-///    rect_clip/rect_clip_subset, same kRectClip fault sites), and each
-///    piece is prepared and appended — after every inside fragment, which
-///    is the emission order rect_clip_subset feeds the set pipeline.
+///  - boundary-straddling contours: `original` runs through the
+///    selected rectangle clipper (byte-identical pieces to rect_clip, same
+///    kRectClip fault sites), and each piece is prepared and appended —
+///    after every inside fragment, the order in which the materializing
+///    path's rect_clip output reaches the set pipeline.
 ///
 /// The per-slab scanbeam schedule is assembled as sorted runs in
 /// `ys`/`run_end` (see merge_sorted_runs_unique): one run per piece, plus
 /// one run per inside contour whose schedule is NOT already covered by the
-/// caller's shared global slice (`in_shared[i] == 0`). Minima are appended
+/// caller's shared global slice (`in_shared` false). Minima are appended
 /// unsorted; the caller finishes the table with sort_minima once both
 /// inputs are in.
 ///
@@ -94,10 +88,7 @@ struct FusedClipStats {
 /// materializing path's is_finite post-check does). Fires the kFusedBounds
 /// fault-injection site on entry; the corruption hook poisons the piece
 /// set, which surfaces through the same false return.
-bool clip_bounds_to_slab(std::span<const PreparedContour* const> prepared,
-                         std::span<const geom::Contour* const> originals,
-                         std::span<const std::uint8_t> inside,
-                         std::span<const std::uint8_t> in_shared,
+bool clip_bounds_to_slab(std::span<const SlabContourRef> contours,
                          const geom::BBox& rect, RectClipMethod method,
                          bool is_clip, RectClipScratch* scratch,
                          BoundTable& bt, std::vector<double>& ys,

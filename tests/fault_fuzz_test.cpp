@@ -5,8 +5,8 @@
 // then arm a single-shot fault plan derived from the case seed
 // (fault::seeded_plan picks site, kind and slab key pseudo-randomly) and
 // run again. A single-shot fault is always recovered on the kRetrySafe
-// rung — broadcast repartition with fresh scratch, which PR 2's
-// indexed≡broadcast guarantee makes bit-equal to the healthy path — so
+// rung — broadcast repartition with fresh scratch, which the
+// fused≡broadcast guarantee makes bit-equal to the healthy path — so
 // the faulted run must be BYTE-IDENTICAL to the clean run, not merely
 // area-equal, on every corpus case. Degradation accounting must show
 // nothing deeper than kRetrySafe.
@@ -24,6 +24,7 @@
 
 #include "fuzz_cases.hpp"
 #include "mt/algorithm2.hpp"
+#include "mt/multiset.hpp"
 #include "mt/stats.hpp"
 #include "parallel/cancel.hpp"
 #include "parallel/fault.hpp"
@@ -90,6 +91,57 @@ TEST_P(FaultFuzz, SingleShotFaultIsInvisible) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeded, FaultFuzz,
+                         ::testing::ValuesIn(fuzz::make_cases()));
+
+// The same lane through multiset_clip, which runs on the same slab runner:
+// its kRetrySafe rung re-materializes the slab's polygons on fresh
+// scratch, bit-equal to the fused healthy path, so a single-shot fault —
+// a TaskGroup-wrapper fault included — must leave the output byte-
+// identical. (Plans at the rect-clip site never fire here: the multiset
+// engine has no rectangle clipping.)
+class MultisetFaultFuzz : public ::testing::TestWithParam<FuzzCase> {};
+
+TEST_P(MultisetFaultFuzz, SingleShotFaultIsInvisible) {
+  const FuzzCase c = GetParam();
+  const par::fault::Plan plan = par::fault::seeded_plan(c.seed, kSlabs);
+  SCOPED_TRACE("repro: " + c.repro() +
+               " fault=" + par::fault::to_string(plan.site) + "/" +
+               par::fault::to_string(plan.kind) +
+               " key=" + std::to_string(plan.key));
+  const Inputs in = make_inputs(c);
+
+  static par::ThreadPool pool(4);
+  mt::MultisetOptions o;
+  o.slabs = kSlabs;
+
+  par::fault::disarm();
+  const PolygonSet want = mt::multiset_clip(in.a, in.b, c.op, pool, o);
+
+  par::fault::arm(plan);
+  mt::Alg2Stats stats;
+  PolygonSet got;
+  try {
+    got = mt::multiset_clip(in.a, in.b, c.op, pool, o, &stats);
+  } catch (...) {
+    par::fault::disarm();
+    throw;
+  }
+  const std::uint64_t fired = par::fault::fired();
+  par::fault::disarm();
+
+  EXPECT_EQ(canonical_vertices(got), canonical_vertices(want))
+      << "single-shot fault changed the output (fired=" << fired << ")";
+  EXPECT_LE(stats.worst_rung(), mt::Rung::kRetrySafe)
+      << "single-shot fault drove a slab below the safe-retry rung";
+  if (fired == 0) {
+    EXPECT_EQ(stats.degraded_slabs(), 0);
+  } else {
+    EXPECT_GE(stats.degraded_slabs(), 1)
+        << "a fault fired but no degradation was recorded";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeded, MultisetFaultFuzz,
                          ::testing::ValuesIn(fuzz::make_cases()));
 
 // ---- Governance-kind lanes (kStall / kHog). ----

@@ -206,5 +206,24 @@ TEST(Algorithm2, EmptyInputs) {
               16.0, 1e-4);
 }
 
+// An Alg2Stats reused across calls must describe the latest call only: an
+// empty request leaves no slabs, no workers and no partial report behind.
+TEST(Algorithm2, EmptyInputResetsReusedStats) {
+  par::ThreadPool pool(2);
+  Alg2Options o;
+  o.slabs = 4;
+  Alg2Stats st;
+  slab_clip(square(0, 0, 10), square(5, 5, 10), BoolOp::kIntersection, pool,
+            o, &st);
+  ASSERT_FALSE(st.slabs.empty());
+  ASSERT_FALSE(st.workers.empty());
+  st.partial.partial = true;  // as a governed partial run would leave it
+  EXPECT_TRUE(slab_clip({}, {}, BoolOp::kUnion, pool, o, &st).empty());
+  EXPECT_TRUE(st.slabs.empty());
+  EXPECT_TRUE(st.degradation.empty());
+  EXPECT_TRUE(st.workers.empty());
+  EXPECT_FALSE(st.partial.partial);
+}
+
 }  // namespace
 }  // namespace psclip::mt

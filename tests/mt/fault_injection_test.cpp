@@ -9,7 +9,7 @@
 //
 //   1. recovery: the output matches the unfaulted run — byte-identical
 //      when recovery happens on the kRetrySafe rung (which is broadcast
-//      repartition, guaranteed bit-equal to the healthy indexed path by
+//      repartition, guaranteed bit-equal to the healthy fused path by
 //      the cross-engine fuzz harness), area-equal on the deeper rungs
 //      (alternate rectangle clipper / sequential fallbacks legitimately
 //      change the vertex representation);
@@ -409,6 +409,41 @@ INSTANTIATE_TEST_SUITE_P(Matrix, MultisetFaultMatrix,
                              if (ch == '-') ch = '_';
                            return n;
                          });
+
+// Multiset slabs share slab_clip's runner: a fault in the TaskGroup
+// wrapper loses the slab task, and the caller recovers it on kRetrySafe
+// with byte-identical output.
+TEST(MultisetFaultInjection, TaskGroupFaultRecoversOnCaller) {
+  const PolygonSet a = data::polygon_field(521, 24, 100.0, 8);
+  const PolygonSet b = data::polygon_field(522, 24, 100.0, 7);
+  par::ThreadPool pool(4);
+  mt::MultisetOptions o;
+  o.slabs = 4;
+
+  par::fault::disarm();
+  const PolygonSet want = mt::multiset_clip(a, b, BoolOp::kUnion, pool, o);
+
+  Plan p;
+  p.site = Site::kTaskGroup;
+  p.kind = Kind::kThrow;
+  p.key = kSlab;  // TaskGroup keys by submission index == slab index
+  p.fire_count = 1;
+  ArmedPlan armed(p);
+
+  mt::Alg2Stats stats;
+  const PolygonSet got =
+      mt::multiset_clip(a, b, BoolOp::kUnion, pool, o, &stats);
+  EXPECT_EQ(par::fault::fired(), 1u);
+
+  ASSERT_GT(stats.degradation.size(), kSlab);
+  EXPECT_EQ(stats.degradation[kSlab].rung, Rung::kRetrySafe)
+      << stats.degradation[kSlab].message;
+  EXPECT_EQ(stats.degradation[kSlab].cause, ErrorCode::kInjected);
+  for (const auto& rep : stats.degradation)
+    EXPECT_LE(rep.rung, Rung::kRetrySafe) << rep.message;
+
+  expect_identical(got, want, "multiset task-group fault");
+}
 
 TEST(MultisetFaultInjection, IsolationOffPropagatesFault) {
   const PolygonSet a = data::polygon_field(511, 20, 90.0, 8);

@@ -199,5 +199,41 @@ TEST(Multiset, EmptyInputs) {
       geom::even_odd_area(a), 1e-5));
 }
 
+// Multiset slabs run on the work-stealing TaskGroup like slab_clip's, so
+// the per-worker record accounts for every slab task exactly once (the
+// last slot is the calling thread, which helps while it waits).
+TEST(Multiset, WorkerLoadsCoverEverySlab) {
+  par::ThreadPool pool(4);
+  const PolygonSet a = data::polygon_field(11, 30, 60.0, 8);
+  const PolygonSet b = data::polygon_field(12, 30, 60.0, 8);
+  MultisetOptions o;
+  o.slabs = 6;
+  Alg2Stats st;
+  multiset_clip(a, b, BoolOp::kIntersection, pool, o, &st);
+  ASSERT_EQ(st.workers.size(), pool.size() + 1);
+  std::uint64_t jobs = 0;
+  for (const auto& w : st.workers) jobs += w.slab_jobs;
+  EXPECT_EQ(jobs, st.slabs.size());
+  EXPECT_GE(st.worker_imbalance(), 1.0);
+}
+
+TEST(Multiset, EmptyInputResetsReusedStats) {
+  par::ThreadPool pool(2);
+  const PolygonSet a = data::polygon_field(11, 30, 60.0, 8);
+  const PolygonSet b = data::polygon_field(12, 30, 60.0, 8);
+  MultisetOptions o;
+  o.slabs = 4;
+  Alg2Stats st;
+  multiset_clip(a, b, BoolOp::kIntersection, pool, o, &st);
+  ASSERT_FALSE(st.slabs.empty());
+  ASSERT_FALSE(st.workers.empty());
+  st.partial.partial = true;  // as a governed partial run would leave it
+  EXPECT_TRUE(multiset_clip({}, {}, BoolOp::kUnion, pool, o, &st).empty());
+  EXPECT_TRUE(st.slabs.empty());
+  EXPECT_TRUE(st.degradation.empty());
+  EXPECT_TRUE(st.workers.empty());
+  EXPECT_FALSE(st.partial.partial);
+}
+
 }  // namespace
 }  // namespace psclip::mt

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstdio>
+#include <memory>
 #include <new>
 #include <set>
 #include <string>
@@ -16,10 +17,12 @@
 
 #include "data/synthetic.hpp"
 #include "mt/algorithm2.hpp"
+#include "mt/multiset.hpp"
 #include "mt/stats.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
+#include "parallel/cancel.hpp"
 #include "parallel/thread_pool.hpp"
 
 // Allocation counter for the null-sink test: every global new in this
@@ -35,6 +38,15 @@ void* operator new(std::size_t n) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them), so
+// every allocation in this binary pairs with the free() below.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n ? n : 1);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return ::operator new(n, t);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -168,6 +180,61 @@ TEST(TraceRecorder, Alg2HierarchyUnderWorkStealing) {
   EXPECT_NE(json.find("\"alg2.slab_clip\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"parent\""), std::string::npos);
+}
+
+// Byte counts are not durations: the seconds-only histograms must never
+// see them. A budgeted run of either slab engine carries its peak arena
+// bytes on every slab span and the budget's peak on the request span, and
+// registers no histogram named *_bytes.
+TEST(TraceRecorder, ByteCountsAreSpanArgsNotHistograms) {
+  par::ThreadPool pool(4);
+  TraceRecorder rec;
+  auto governed = [] {
+    par::CancelToken tok = par::CancelToken::make();
+    tok.set_budget(std::make_shared<par::ResourceBudget>(1ull << 30));
+    return tok;
+  };
+  const auto pair = data::synthetic_pair(7, 60);
+  mt::Alg2Options ao;
+  ao.slabs = 4;
+  ao.trace_sink = &rec;
+  ao.cancel = governed();
+  mt::slab_clip(pair.subject, pair.clip, geom::BoolOp::kIntersection, pool,
+                ao);
+  const geom::PolygonSet a = data::polygon_field(11, 30, 60.0, 8);
+  const geom::PolygonSet b = data::polygon_field(12, 30, 60.0, 8);
+  mt::MultisetOptions mo;
+  mo.slabs = 4;
+  mo.trace_sink = &rec;
+  mo.cancel = governed();
+  mt::multiset_clip(a, b, geom::BoolOp::kIntersection, pool, mo);
+  pool.wait_idle();
+
+  const auto spans = rec.spans();
+  for (const char* request : {"alg2.slab_clip", "alg2.multiset_clip"}) {
+    const auto* req = find_span(spans, request);
+    ASSERT_TRUE(req) << request;
+    EXPECT_GT(req->arg("peak_budget_bytes"), 0) << request;
+  }
+  for (const char* slab : {"alg2.slab", "multiset.slab"}) {
+    int seen = 0;
+    for (const auto& s : spans) {
+      if (std::string(s.name) != slab) continue;
+      ++seen;
+      EXPECT_GT(s.arg("peak_arena_bytes"), 0) << slab;
+    }
+    EXPECT_GT(seen, 0) << slab;
+  }
+  const auto snap = rec.metrics().snapshot();
+  for (const auto& h : snap.histograms) {
+    const std::string& n = h.name;
+    EXPECT_FALSE(n.size() >= 6 && n.compare(n.size() - 6, 6, "_bytes") == 0)
+        << "byte histogram " << n;
+  }
+  bool saw_steals = false;
+  for (const auto& counter : snap.counters)
+    saw_steals = saw_steals || counter.first == "multiset.steals";
+  EXPECT_TRUE(saw_steals) << "multiset_clip reports its steals";
 }
 
 TEST(Histogram, BucketAccounting) {
