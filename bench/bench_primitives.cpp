@@ -1,14 +1,18 @@
 // Supporting micro-benchmarks: the parallel primitives the PRAM algorithm
 // is assembled from (prefix sum, parallel mergesort, segment tree
-// build/query) — the building blocks named in the paper's contribution 1.
+// build/query) — the building blocks named in the paper's contribution 1 —
+// and the WKT writer and parser that bracket every clip job.
 
 #include <benchmark/benchmark.h>
 
 #include <random>
 
+#include "data/synthetic.hpp"
+#include "geom/wkt.hpp"
 #include "parallel/scan.hpp"
 #include "parallel/sort.hpp"
 #include "segtree/segment_tree.hpp"
+#include "seq/vatti.hpp"
 
 namespace {
 
@@ -84,6 +88,43 @@ void BM_SegmentTreeStabAll(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SegmentTreeStabAll)->Range(1 << 8, 1 << 13);
+
+/// Union of a 24k-edge synthetic_pair: the output the end-to-end
+/// pair_large job serializes.
+const psclip::geom::PolygonSet& union_output() {
+  static const psclip::geom::PolygonSet u = [] {
+    const auto pair = psclip::data::synthetic_pair(1, 24000);
+    return psclip::seq::vatti_clip(pair.subject, pair.clip,
+                                   psclip::geom::BoolOp::kUnion);
+  }();
+  return u;
+}
+
+void BM_ToWkt(benchmark::State& state) {
+  const auto& p = union_output();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string w = psclip::geom::to_wkt(p);
+    bytes = w.size();
+    benchmark::DoNotOptimize(w.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+  state.counters["vertices"] = static_cast<double>(p.num_vertices());
+}
+BENCHMARK(BM_ToWkt)->Unit(benchmark::kMillisecond);
+
+void BM_FromWkt(benchmark::State& state) {
+  const std::string w = psclip::geom::to_wkt(union_output());
+  for (auto _ : state) {
+    auto p = psclip::geom::from_wkt(w);
+    benchmark::DoNotOptimize(p);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(w.size()));
+}
+BENCHMARK(BM_FromWkt)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -3,23 +3,33 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <sstream>
 #include <utility>
 
+#include "geom/coord_text.hpp"
 #include "geom/nesting.hpp"
 #include "obs/trace.hpp"
 
 namespace psclip::geom {
 namespace {
 
-void write_ring(std::ostringstream& os, const Contour& c) {
-  os << '[';
+void write_ring(std::string& out, const Contour& c) {
+  const auto position = [&out](const Point& v) {
+    out += '[';
+    detail::append_coord(out, v.x);
+    out += ',';
+    detail::append_coord(out, v.y);
+    out += ']';
+  };
+  out += '[';
   for (std::size_t i = 0; i < c.size(); ++i) {
-    if (i) os << ',';
-    os << '[' << c[i].x << ',' << c[i].y << ']';
+    if (i) out += ',';
+    position(c[i]);
   }
-  if (!c.empty()) os << ",[" << c[0].x << ',' << c[0].y << ']';
-  os << ']';
+  if (!c.empty()) {
+    out += ',';
+    position(c[0]);
+  }
+  out += ']';
 }
 
 /// Minimal recursive-descent parser for the geometry subset we emit.
@@ -190,22 +200,30 @@ std::optional<PolygonSet> report(Cursor& c, Error* err) {
 }  // namespace
 
 std::string to_geojson(const PolygonSet& p) {
+  obs::ScopedSpan span(obs::global_sink(), "serialize.geojson",
+                       obs::Cat::kSerialize);
   const auto nested = nest_contours(p);
-  std::ostringstream os;
-  os.precision(17);
-  os << R"({"type":"MultiPolygon","coordinates":[)";
+  // One allocation: every vertex (plus each ring's repeated first vertex)
+  // takes at most "[x,y]" and ","; each ring and polygon adds "[", "]" and
+  // ",", and there are at most as many polygons as rings.
+  const std::size_t nc = p.num_contours();
+  std::string out;
+  out.reserve(40 + 6 * nc +
+              (p.num_vertices() + nc) * (2 * detail::kMaxCoordChars + 4));
+  out += R"({"type":"MultiPolygon","coordinates":[)";
   for (std::size_t i = 0; i < nested.size(); ++i) {
-    if (i) os << ',';
-    os << '[';
-    write_ring(os, nested[i].shell);
+    if (i) out += ',';
+    out += '[';
+    write_ring(out, nested[i].shell);
     for (const auto& h : nested[i].holes) {
-      os << ',';
-      write_ring(os, h);
+      out += ',';
+      write_ring(out, h);
     }
-    os << ']';
+    out += ']';
   }
-  os << "]}";
-  return os.str();
+  out += "]}";
+  span.arg("bytes", static_cast<std::int64_t>(out.size()));
+  return out;
 }
 
 std::optional<PolygonSet> from_geojson(std::string_view json, Error* err) {

@@ -13,6 +13,12 @@ namespace psclip::geom {
 /// are first grouped into shell+holes polygons (see nesting.hpp), so the
 /// output follows the GeoJSON winding convention (shells counter-
 /// clockwise, holes clockwise, first position repeated at the end).
+///
+/// Each coordinate is written with 17 significant digits, byte-identical
+/// to printf("%.17g") in the "C" locale, whatever the global C++ or C
+/// locale is. from_geojson reads the text back to bit-identical doubles.
+/// Records a `serialize.geojson` span (with a `bytes` arg) on the global
+/// sink.
 std::string to_geojson(const PolygonSet& p);
 
 /// Parse a GeoJSON `Polygon` or `MultiPolygon` geometry object (the

@@ -1,6 +1,7 @@
 #include "geom/svg.hpp"
 
 #include <fstream>
+#include <locale>
 #include <sstream>
 
 namespace psclip::geom {
@@ -24,6 +25,7 @@ std::string SvgWriter::str() const {
       static_cast<int>(bb.height() * scale) + 1;
 
   std::ostringstream os;
+  os.imbue(std::locale::classic());  // '.' decimals, no digit grouping
   os.precision(8);
   os << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << width_
      << "\" height=\"" << height << "\">\n";

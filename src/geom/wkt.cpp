@@ -3,36 +3,49 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <sstream>
 #include <utility>
 
+#include "geom/coord_text.hpp"
 #include "obs/trace.hpp"
 
 namespace psclip::geom {
 
-std::string to_wkt(const PolygonSet& p) {
+namespace {
+
+std::string write_wkt(const PolygonSet& p) {
   if (p.empty()) return "MULTIPOLYGON EMPTY";
-  std::ostringstream os;
-  os.precision(17);
-  os << "MULTIPOLYGON (";
+  // One allocation: every vertex (plus each ring's repeated first vertex)
+  // takes at most two coordinates and ", " + " "; each ring adds "((", "))"
+  // and ", ".
+  const std::size_t nc = p.num_contours();
+  std::string out;
+  out.reserve(15 + 6 * nc +
+              (p.num_vertices() + nc) * (2 * detail::kMaxCoordChars + 3));
+  const auto vertex = [&out](const Point& v) {
+    detail::append_coord(out, v.x);
+    out += ' ';
+    detail::append_coord(out, v.y);
+  };
+  out += "MULTIPOLYGON (";
   bool first_c = true;
   for (const auto& c : p.contours) {
-    if (!first_c) os << ", ";
+    if (!first_c) out += ", ";
     first_c = false;
-    os << "((";
+    out += "((";
     for (std::size_t i = 0; i < c.size(); ++i) {
-      if (i) os << ", ";
-      os << c[i].x << ' ' << c[i].y;
+      if (i) out += ", ";
+      vertex(c[i]);
     }
     // WKT rings repeat the first vertex at the end.
-    if (!c.empty()) os << ", " << c[0].x << ' ' << c[0].y;
-    os << "))";
+    if (!c.empty()) {
+      out += ", ";
+      vertex(c[0]);
+    }
+    out += "))";
   }
-  os << ")";
-  return os.str();
+  out += ')';
+  return out;
 }
-
-namespace {
 
 struct Cursor {
   std::string_view s;
@@ -160,6 +173,14 @@ std::optional<PolygonSet> finish(Cursor& c, PolygonSet out, Error* err) {
 }
 
 }  // namespace
+
+std::string to_wkt(const PolygonSet& p) {
+  obs::ScopedSpan span(obs::global_sink(), "serialize.wkt",
+                       obs::Cat::kSerialize);
+  std::string out = write_wkt(p);
+  span.arg("bytes", static_cast<std::int64_t>(out.size()));
+  return out;
+}
 
 std::optional<PolygonSet> from_wkt(std::string_view wkt, Error* err) {
   obs::ScopedSpan parse_span(obs::global_sink(), "parse.wkt",

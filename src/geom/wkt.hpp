@@ -12,6 +12,11 @@ namespace psclip::geom {
 /// Serialize a polygon set as WKT. Every contour becomes one single-ring
 /// POLYGON inside a MULTIPOLYGON (hole nesting is not reconstructed; the
 /// even-odd fill rule makes the flat form equivalent).
+///
+/// Each coordinate is written with 17 significant digits, byte-identical
+/// to printf("%.17g") in the "C" locale, whatever the global C++ or C
+/// locale is. from_wkt reads the text back to bit-identical doubles.
+/// Records a `serialize.wkt` span (with a `bytes` arg) on the global sink.
 std::string to_wkt(const PolygonSet& p);
 
 /// Parse `POLYGON ((...), (...))` or `MULTIPOLYGON (((...)), ...)` text.

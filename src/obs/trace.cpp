@@ -12,6 +12,7 @@ const char* to_string(Cat c) {
     case Cat::kRung: return "rung";
     case Cat::kParse: return "parse";
     case Cat::kSchedule: return "schedule";
+    case Cat::kSerialize: return "serialize";
   }
   return "?";
 }

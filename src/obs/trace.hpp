@@ -5,7 +5,8 @@
 namespace psclip::obs {
 
 /// Category of a span — mirrors the pipeline's hierarchy (request → phase →
-/// slab → rung) plus the two cross-cutting families (parsing, scheduling).
+/// slab → rung) plus the three cross-cutting families (parsing, serializing,
+/// scheduling).
 /// The Chrome exporter writes it as the event's `cat` so traces can be
 /// filtered per layer in chrome://tracing.
 enum class Cat : std::uint8_t {
@@ -15,6 +16,7 @@ enum class Cat : std::uint8_t {
   kRung,         ///< one attempt on one degradation-ladder rung
   kParse,        ///< WKT / GeoJSON parsing
   kSchedule,     ///< thread-pool / task-group scheduling sections
+  kSerialize,    ///< WKT / GeoJSON writing
 };
 
 const char* to_string(Cat c);

@@ -161,6 +161,31 @@ TEST_F(CliTest, TraceOutWritesLoadableChromeTrace) {
   EXPECT_NE(doc.find("\"alg2.slab\""), std::string::npos);
   EXPECT_NE(doc.find("\"parse.wkt\""), std::string::npos);
   EXPECT_NE(doc.find("\"parse.geojson\""), std::string::npos);
+
+  // Written output is traced too: one serialize span per writer, with the
+  // byte count it produced.
+  for (const char* fmt : {"wkt", "geojson"}) {
+    const std::string out_trace =
+        testing::TempDir() + "/psclip_cli_trace_" + fmt + ".json";
+    const std::string written =
+        run("intersection " + a_path_ + " " + b_path_ + " --out=" + fmt +
+                " --trace-out=" + out_trace,
+            &rc);
+    EXPECT_EQ(rc, 0) << written;
+    std::ifstream g(out_trace);
+    ASSERT_TRUE(g.good()) << out_trace;
+    const std::string serialized((std::istreambuf_iterator<char>(g)),
+                                 std::istreambuf_iterator<char>());
+    std::remove(out_trace.c_str());
+    const std::string name = std::string("\"serialize.") + fmt + "\"";
+    const auto at = serialized.find(name);
+    ASSERT_NE(at, std::string::npos) << fmt;
+    const std::string event =
+        serialized.substr(at, serialized.find("}}", at) - at);
+    EXPECT_NE(event.find("\"cat\":\"serialize\""), std::string::npos)
+        << event;
+    EXPECT_NE(event.find("\"bytes\":"), std::string::npos) << event;
+  }
 }
 
 TEST_F(CliTest, MetricsPrintsSnapshot) {

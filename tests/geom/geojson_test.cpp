@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "seq/vatti.hpp"
+#include "test_support.hpp"
 
 namespace psclip::geom {
 namespace {
@@ -141,6 +144,26 @@ TEST(GeoJson, RejectsUnsupportedTypeWithError) {
   EXPECT_EQ(err.code(), ErrorCode::kParse);
   EXPECT_NE(std::string(err.what()).find("Point"), std::string::npos)
       << err.what();
+}
+
+TEST(GeoJson, OutputIgnoresGlobalLocale) {
+  const PolygonSet p =
+      make_polygon({{12345.5, 0}, {1234567.25, 0.5}, {3, 1e6}});
+  const std::string classic = to_geojson(p);
+  std::string localized;
+  {
+    test::ScopedCommaDecimalLocale comma;
+    std::ostringstream probe;  // the locale really is in force
+    probe << 12345.5;
+    ASSERT_EQ(probe.str(), "12.345,5");
+    localized = to_geojson(p);
+    const auto back = from_geojson(localized);
+    ASSERT_TRUE(back.has_value()) << localized;
+    ASSERT_EQ(back->num_contours(), 1u);
+    EXPECT_EQ(back->contours[0].size(), 3u);
+  }
+  EXPECT_EQ(localized, classic);
+  EXPECT_NE(classic.find("[12345.5,0]"), std::string::npos) << classic;
 }
 
 }  // namespace

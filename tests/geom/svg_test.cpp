@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "test_support.hpp"
+
 namespace psclip::geom {
 namespace {
 
@@ -67,6 +69,21 @@ TEST(Svg, YAxisIsFlippedForScreen) {
   double x = 0, y = 0;
   ASSERT_EQ(std::sscanf(doc.c_str() + m + 4, "%lf %lf", &x, &y), 2);
   EXPECT_GT(y, 50.0);
+}
+
+TEST(Svg, OutputIgnoresGlobalLocale) {
+  SvgWriter w(1200);
+  w.add_layer(make_polygon({{0, 0}, {12345.5, 0}, {0, 12345.5}}), "red",
+              "black", 0.25);
+  const std::string classic = w.str();
+  std::string localized;
+  {
+    test::ScopedCommaDecimalLocale comma;
+    localized = w.str();
+  }
+  EXPECT_EQ(localized, classic);
+  EXPECT_NE(classic.find("width=\"1200\""), std::string::npos) << classic;
+  EXPECT_NE(classic.find("fill-opacity=\"0.25\""), std::string::npos);
 }
 
 }  // namespace

@@ -2,6 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cstdint>
+#include <cstdio>
+#include <sstream>
+
+#include "data/synthetic.hpp"
+#include "fuzz_cases.hpp"
+#include "test_support.hpp"
+
 namespace psclip::geom {
 namespace {
 
@@ -131,6 +141,111 @@ TEST(Wkt, ShortRingReportsRingStart) {
 TEST(Wkt, ErrorOutParamIsOptional) {
   // Source compatibility: the error pointer defaults to nullptr.
   EXPECT_FALSE(from_wkt("POLYGON ((0 0, inf 0, 1 1))").has_value());
+}
+
+// ---- Output format contract: "%.17g" bytes, locale-free, exact ---------
+
+/// Reference writer: the same layout as to_wkt, every coordinate through
+/// snprintf("%.17g") (the process's C locale is "C" throughout).
+std::string printf_wkt(const PolygonSet& p) {
+  std::string out = "MULTIPOLYGON (";
+  char buf[64];
+  const auto vertex = [&](const Point& v) {
+    std::snprintf(buf, sizeof buf, "%.17g %.17g", v.x, v.y);
+    out += buf;
+  };
+  for (std::size_t k = 0; k < p.contours.size(); ++k) {
+    out += k ? ", ((" : "((";
+    const Contour& c = p.contours[k];
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      if (i) out += ", ";
+      vertex(c[i]);
+    }
+    out += ", ";
+    vertex(c[0]);
+    out += "))";
+  }
+  return out + ")";
+}
+
+/// True when both sets hold the same contours with bit-identical
+/// coordinates (so -0.0 and 0.0 differ).
+bool bit_identical(const PolygonSet& a, const PolygonSet& b) {
+  if (a.num_contours() != b.num_contours()) return false;
+  for (std::size_t k = 0; k < a.contours.size(); ++k) {
+    const Contour& ca = a.contours[k];
+    const Contour& cb = b.contours[k];
+    if (ca.size() != cb.size()) return false;
+    for (std::size_t i = 0; i < ca.size(); ++i)
+      if (std::bit_cast<std::uint64_t>(ca[i].x) !=
+              std::bit_cast<std::uint64_t>(cb[i].x) ||
+          std::bit_cast<std::uint64_t>(ca[i].y) !=
+              std::bit_cast<std::uint64_t>(cb[i].y))
+        return false;
+  }
+  return true;
+}
+
+TEST(Wkt, CoordinatesMatchPrintfPercent17g) {
+  const double edge[] = {-0.0,   0.0,  5e-324, DBL_MAX, -DBL_MAX,
+                         DBL_MIN, 0.1, 1e21,   1e-7,    9007199254740993.0,
+                         1,      2,    7,      -3,      42,
+                         100,    1e16, 1e17,   123.456, -0.5};
+  PolygonSet p;
+  for (const double a : edge)
+    for (const double b : edge) p.add({{a, b}, {b, -a}, {1, a}});
+  const std::string w = to_wkt(p);
+  EXPECT_EQ(w, printf_wkt(p));
+  // Spot checks of the reference itself.
+  EXPECT_EQ(to_wkt(make_polygon({{-0.0, 5e-324}, {0.1, 1e21}, {1e-7, 3}})),
+            "MULTIPOLYGON (((-0 4.9406564584124654e-324, "
+            "0.10000000000000001 1e+21, 9.9999999999999995e-08 3, "
+            "-0 4.9406564584124654e-324)))");
+  const auto back = from_wkt(w);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_TRUE(bit_identical(*back, p));
+}
+
+TEST(Wkt, RoundTripIsBitExactOnFuzzCorpus) {
+  const auto cases = fuzz::make_cases();
+  ASSERT_EQ(cases.size(), 216u);
+  for (const auto& c : cases) {
+    const auto in = fuzz::make_inputs(c);
+    for (const PolygonSet* p : {&in.a, &in.b}) {
+      const auto back = from_wkt(to_wkt(*p));
+      ASSERT_TRUE(back.has_value()) << c.repro();
+      EXPECT_TRUE(bit_identical(*back, *p)) << c.repro();
+    }
+  }
+}
+
+TEST(Wkt, RoundTripIsBitExactOnLargeSyntheticPair) {
+  const auto pair = data::synthetic_pair(1, 24000);
+  for (const PolygonSet* p : {&pair.subject, &pair.clip}) {
+    const std::string w = to_wkt(*p);
+    const auto back = from_wkt(w);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_TRUE(bit_identical(*back, *p));
+    EXPECT_EQ(w, printf_wkt(*p));
+  }
+}
+
+TEST(Wkt, OutputIgnoresGlobalLocale) {
+  PolygonSet p = make_polygon({{12345.5, 0}, {-1234567.25, 0.5}, {3, 1e6}});
+  const std::string classic = to_wkt(p);
+  std::string localized;
+  {
+    test::ScopedCommaDecimalLocale comma;
+    std::ostringstream probe;  // the locale really is in force
+    probe << 12345.5;
+    ASSERT_EQ(probe.str(), "12.345,5");
+    localized = to_wkt(p);
+    const auto back = from_wkt(localized);
+    ASSERT_TRUE(back.has_value()) << localized;
+    EXPECT_TRUE(bit_identical(*back, p));
+  }
+  EXPECT_EQ(localized, classic);
+  EXPECT_NE(classic.find("12345.5 0"), std::string::npos) << classic;
 }
 
 }  // namespace

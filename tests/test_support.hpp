@@ -5,7 +5,9 @@
 // point-classification referees used by the differential tests.
 
 #include <cmath>
+#include <locale>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "geom/area_oracle.hpp"
@@ -68,5 +70,27 @@ inline double pip_agreement(const geom::PolygonSet& a,
   }
   return static_cast<double>(agree) / samples;
 }
+
+/// Makes the global C++ locale write numbers as "12.345,5" (digits grouped
+/// in threes by '.', decimal comma) for its lifetime, then restores the
+/// previous global locale, also when an assertion ends the test early.
+class ScopedCommaDecimalLocale {
+ public:
+  ScopedCommaDecimalLocale()
+      : previous_(std::locale::global(
+            std::locale(std::locale::classic(), new CommaDecimal))) {}
+  ~ScopedCommaDecimalLocale() { std::locale::global(previous_); }
+  ScopedCommaDecimalLocale(const ScopedCommaDecimalLocale&) = delete;
+  ScopedCommaDecimalLocale& operator=(const ScopedCommaDecimalLocale&) =
+      delete;
+
+ private:
+  struct CommaDecimal : std::numpunct<char> {
+    char do_decimal_point() const override { return ','; }
+    char do_thousands_sep() const override { return '.'; }
+    std::string do_grouping() const override { return "\3"; }
+  };
+  std::locale previous_;
+};
 
 }  // namespace psclip::test
