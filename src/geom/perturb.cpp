@@ -42,8 +42,13 @@ int remove_horizontals(Contour& c, double magnitude) {
   for (int pass = 0; pass < 64; ++pass) {
     bool changed = false;
     const BBox cb = bounds(c);
+    // Floored at one ULP of the contour's largest |y|: far from the origin
+    // a relative nudge is smaller than half an ULP, `cur.y += ...` rounds
+    // straight back to prev.y, and the horizontal edge reaches the sweep.
+    const double ymag = std::fmax(std::fabs(cb.ymin), std::fabs(cb.ymax));
     const double step =
-        std::fmax(cb.height(), 1.0) * std::fmax(magnitude, 1e-15);
+        std::fmax(std::fmax(cb.height(), 1.0) * std::fmax(magnitude, 1e-15),
+                  std::nextafter(ymag, HUGE_VAL) - ymag);
     for (std::size_t i = 1; i <= n; ++i) {
       Point& prev = c[i - 1];
       Point& cur = c[i % n];

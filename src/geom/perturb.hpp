@@ -12,7 +12,9 @@ namespace psclip::geom {
 /// the vertices to make them non-horizontal."
 ///
 /// `magnitude` is the per-step nudge relative to the polygon's height
-/// (default a few ULP-scale fractions). The perturbation is deterministic.
+/// (default a few ULP-scale fractions), floored at one ULP of the largest
+/// |y| so the nudge survives rounding far from the origin. The
+/// perturbation is deterministic.
 /// Returns the number of vertices moved.
 int remove_horizontals(PolygonSet& p, double magnitude = 1e-9);
 

@@ -20,10 +20,6 @@ namespace {
 constexpr EngineNames kNames{"alg2", "alg2.slab_clip", "alg2.clip",
                              "alg2.slab", "alg2.merge"};
 
-/// The per-slab degradation ladder, most to least aggressive.
-constexpr Rung kLadder[] = {Rung::kHealthy, Rung::kRetrySafe,
-                            Rung::kAltRectMethod, Rung::kSlabSequential};
-
 }  // namespace
 
 geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
@@ -125,9 +121,9 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
   runner.request_arg("vertices", static_cast<std::int64_t>(nverts));
   runner.request_arg("op", static_cast<std::int64_t>(op));
 
-  // Steps 4-6 for one slab on one rung: rectangle-clip both inputs to the
-  // slab, then run the sequential clipper on the slab pair.
-  auto attempt = [&](std::size_t t, Rung rung, SlabArena* arena,
+  // Steps 4-6 for one slab: rectangle-clip both inputs to the slab, then
+  // run the sequential clipper on the slab pair.
+  auto attempt = [&](std::size_t t, SlabArena* arena,
                      par::gov::ScopedCharge& charge, SlabWork& w) {
     obs::ScopedSpan part_span(sink, "alg2.slab_partition", obs::Cat::kPhase);
     par::WallTimer timer;
@@ -135,7 +131,7 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
     const geom::BBox rect{mbr.xmin - 1.0, bounds[t], mbr.xmax + 1.0,
                           bounds[t + 1]};
     const bool fused_rung = arena && fused;
-    geom::PolygonSet a_t, b_t;  // materialized slab inputs (other rungs)
+    geom::PolygonSet a_t, b_t;  // materialized slab inputs
     bool finite = true;
     if (fused_rung) {
       // Fused fast path: assemble the slab's bound table and scanbeam
@@ -182,30 +178,11 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
       w.load.bound_build_ns = static_cast<std::int64_t>(timer.seconds() * 1e9);
       part_span.arg("boundary_edges", w.load.boundary_edges);
     } else {
-      // Materializing rungs: broadcast partition (the healthy rung under
-      // kBroadcast, and kRetrySafe on fresh scratch — bit-identical to the
-      // fused path), the same region via the alternate rectangle clipper
-      // (kAltRectMethod: whichever full clipper the run was *not*
-      // configured with), or no rect_clip fast path at all — the slab
-      // rectangle clipped as an ordinary polygon operand with the full
-      // sequential Vatti clipper (kSlabSequential).
-      if (rung == Rung::kSlabSequential) {
-        geom::PolygonSet rp;
-        rp.contours.push_back(
-            geom::make_rect(rect.xmin, rect.ymin, rect.xmax, rect.ymax));
-        a_t = seq::vatti_clip(subject, rp, geom::BoolOp::kIntersection,
-                              nullptr, nullptr, opts.sweep_kernel);
-        b_t = seq::vatti_clip(clip, rp, geom::BoolOp::kIntersection, nullptr,
-                              nullptr, opts.sweep_kernel);
-      } else {
-        seq::RectClipMethod m = opts.rect_method;
-        if (rung == Rung::kAltRectMethod)
-          m = m == seq::RectClipMethod::kVatti
-                  ? seq::RectClipMethod::kGreinerHormann
-                  : seq::RectClipMethod::kVatti;
-        a_t = seq::rect_clip(subject, rect, m);
-        b_t = seq::rect_clip(clip, rect, m);
-      }
+      // Materializing path: broadcast partition — the healthy rung under
+      // kBroadcast, and kRetrySafe on fresh scratch (bit-identical to the
+      // fused path).
+      a_t = seq::rect_clip(subject, rect, opts.rect_method);
+      b_t = seq::rect_clip(clip, rect, opts.rect_method);
       w.load.touched_edges = static_cast<std::int64_t>(nverts);
       // Charge the materialized slab inputs (the structures this attempt
       // retains until it returns); the sweep's own checkpoint charges
@@ -258,7 +235,6 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
   };
 
   SlabJob job;
-  job.rungs = kLadder;
   job.attempt = attempt;
   job.whole_input = [&] {
     return seq::vatti_clip(subject, clip, op, nullptr, nullptr,

@@ -57,15 +57,6 @@ struct Alg2Options {
   /// Partition-input selection strategy (see Alg2Partition). Both settings
   /// produce byte-identical results; kBroadcast exists for ablation.
   Alg2Partition partition = Alg2Partition::kFused;
-  /// Fault isolation (default on): every slab task runs behind a guard that
-  /// catches exceptions and rejects non-finite output, then walks the
-  /// degradation ladder (see mt::Rung) — retry on safe settings, alternate
-  /// rectangle clipper, per-slab sequential Vatti, and finally a whole-input
-  /// sequential recompute. A fault confined to one slab therefore degrades
-  /// that slab only; Alg2Stats::degradation records how far each slab fell.
-  /// Off: the first slab failure propagates out of slab_clip unchanged
-  /// (fail-fast, the pre-isolation behavior).
-  bool isolate_faults = true;
   /// Per-beam maintenance strategy of the sequential Vatti sweep that runs
   /// inside every slab (see seq::SweepKernel). Both settings produce
   /// byte-identical output; kReference reproduces the pre-optimization cost
@@ -124,6 +115,9 @@ struct Alg2Options {
 ///        pieces have disjoint interiors, so concatenation is the even-odd
 ///        union; contours crossing slab boundaries remain split, exactly
 ///        as in the paper).
+///
+/// A failed slab is retried once on fresh scratch, then the whole request
+/// falls back to sequential Vatti (see mt::Rung, Alg2Stats::degradation).
 geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
                            const geom::PolygonSet& clip, geom::BoolOp op,
                            par::ThreadPool& pool, const Alg2Options& opts = {},

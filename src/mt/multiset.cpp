@@ -23,10 +23,6 @@ constexpr EngineNames kNames{"multiset", "alg2.multiset_clip",
                              "multiset.clip", "multiset.slab",
                              "multiset.merge"};
 
-/// Per-slab ladder: the fused fast path, then a materializing re-run on
-/// fresh scratch (bit-identical).
-constexpr Rung kLadder[] = {Rung::kHealthy, Rung::kRetrySafe};
-
 struct PolyRec {
   const geom::Contour* contour;
   double ymin, ymax;
@@ -166,7 +162,7 @@ geom::PolygonSet multiset_clip(const geom::PolygonSet& subject,
   // ---- Distribute polygons to slabs per the assignment mode. ----
   // Slabs hold *record-id lists* (indices into srecs/crecs), not contour
   // copies: replication assigns whole polygons, so an index is all a slab
-  // needs. The materializing rungs rebuild a slab's PolygonSets from these
+  // needs. The materializing path rebuilds a slab's PolygonSets from these
   // lists on demand.
   auto& slab_subject = layers[0].slab_ids;
   auto& slab_clip_in = layers[1].slab_ids;
@@ -284,7 +280,7 @@ geom::PolygonSet multiset_clip(const geom::PolygonSet& subject,
   // materializes the slab's PolygonSets from the id lists and runs the
   // ordinary vatti_clip, which rebuilds the same table bit for bit
   // (per-contour deterministic prep).
-  auto attempt = [&](std::size_t t, Rung /*rung*/, SlabArena* arena,
+  auto attempt = [&](std::size_t t, SlabArena* arena,
                      par::gov::ScopedCharge& charge, SlabWork& w) {
     par::WallTimer timer;
     par::ThreadCpuTimer cpu_timer;
@@ -348,7 +344,6 @@ geom::PolygonSet multiset_clip(const geom::PolygonSet& subject,
 
   SlabJob job;
   job.extents = std::move(extents);
-  job.rungs = kLadder;
   job.attempt = attempt;
   job.whole_input = [&] {
     return seq::vatti_clip(subject, clip, op, nullptr, nullptr,

@@ -63,13 +63,6 @@ struct MultisetOptions {
   /// Sweep kernel for the per-slab sequential clips (see seq::SweepKernel);
   /// both settings are byte-identical, kReference exists for ablations.
   seq::SweepKernel sweep_kernel = seq::SweepKernel::kTuned;
-  /// Fault isolation (default on): each slab's clip runs behind a guard
-  /// that catches exceptions and rejects non-finite output, retries the
-  /// slab on safe settings (fresh scratch, no arena — bit-identical), and
-  /// falls back to one sequential whole-input clip if a slab still cannot
-  /// complete. Alg2Stats::degradation records the rung per slab. Off:
-  /// the first slab failure propagates out of multiset_clip unchanged.
-  bool isolate_faults = true;
   /// Trace + metrics sink for this run; null (default) = tracing off at the
   /// cost of one pointer test per site. Same contract as
   /// Alg2Options::trace_sink.

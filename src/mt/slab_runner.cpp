@@ -53,10 +53,10 @@ void SlabRunner::attempt(const SlabJob& job, std::size_t t, Rung rung,
   // released when the attempt ends (success or unwind). Concurrent attempts
   // therefore charge the sum of their live scratch.
   par::gov::ScopedCharge charge;
-  // Only the healthy rung borrows the worker arena; every retry rung runs
-  // on fresh scratch, shedding whatever state a fault may have corrupted.
+  // Only the healthy rung borrows the worker arena; kRetrySafe runs on
+  // fresh scratch, shedding whatever state a fault may have corrupted.
   SlabArena* arena = rung == Rung::kHealthy ? &worker_arena() : nullptr;
-  job.attempt(t, rung, arena, charge, w);
+  job.attempt(t, arena, charge, w);
   if (arena) {
     if (par::fault::corrupt(par::fault::Site::kArena)) {
       const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -73,14 +73,15 @@ void SlabRunner::attempt(const SlabJob& job, std::size_t t, Rung rung,
                             w.load.seconds);
 }
 
-// Walk one slab down the ladder starting at `first`. Records rung reached /
-// attempt count / first cause in so.report; flags the slab exhausted when
-// no rung succeeded. Never throws.
+// Walk one slab down the per-slab rungs (kHealthy, then kRetrySafe)
+// starting at `first`. Records rung reached / attempt count / first cause
+// in so.report; flags the slab exhausted when no rung succeeded. Never
+// throws.
 void SlabRunner::run_ladder(const SlabJob& job, std::size_t t, SlabOut& so,
                             Rung first) {
   so.done = true;
   bool recorded = !so.report.message.empty();
-  for (const Rung rung : job.rungs) {
+  for (const Rung rung : {Rung::kHealthy, Rung::kRetrySafe}) {
     if (rung < first) continue;
     // Governance gate before burning a rung: a cancelled request, an
     // expired deadline, or a *sticky* blown budget (memory still retained
@@ -128,15 +129,10 @@ void SlabRunner::run_slab(const SlabJob& job, std::size_t t, SlabOut& so,
   // Deterministic fault key: a plan keyed on slab index t fires for this
   // slab no matter which worker the scheduler hands it to.
   par::fault::ScopedKey key(t);
-  if (isolate_faults_) {
-    // Attempts are counted per rung walked; a recovered lost task arrives
-    // with the aborted task attempt already counted.
-    if (first == Rung::kHealthy) so.report.attempts = 0;
-    run_ladder(job, t, so, first);
-  } else {
-    attempt(job, t, Rung::kHealthy, so.work);
-    so.done = true;
-  }
+  // Attempts are counted per rung walked; a recovered lost task arrives
+  // with the aborted task attempt already counted.
+  if (first == Rung::kHealthy) so.report.attempts = 0;
+  run_ladder(job, t, so, first);
   slab_span.arg("rung", static_cast<std::int64_t>(so.report.rung));
   slab_span.arg("attempts", static_cast<std::int64_t>(so.report.attempts));
   slab_span.arg("peak_arena_bytes", so.work.load.peak_arena_bytes);
@@ -169,82 +165,78 @@ geom::PolygonSet SlabRunner::run(const SlabJob& job, Alg2Stats* stats) {
         [&, t] { run_slab(job, t, outs[t], Rung::kHealthy, clip_id); });
   PartialReport partial;
   bool whole_input = false;
-  if (!isolate_faults_) {
-    group.wait();  // fail-fast: first slab failure propagates unchanged
-  } else {
-    try {
-      group.wait();
-    } catch (...) {
-      // A fault fired in the scheduler wrapper itself, or a governance trip
-      // hit its entry checkpoint: TaskGroup aggregated it into one
-      // exception and skipped not-yet-started tasks. Recover every lost
-      // slab here on the calling thread, starting one rung down the ladder
-      // (a governance trip makes each one stop at the ladder gate).
-      DegradationReport group_rep;
-      classify_failure(group_rep);
-      group_rep.attempts = 1;  // the task attempt the group aborted
-      for (std::size_t t = 0; t < nslabs; ++t)
-        if (!outs[t].done) {
-          outs[t].report = group_rep;
-          run_slab(job, t, outs[t], Rung::kRetrySafe, clip_id);
-        }
-    }
-    // Exhausted slabs split two ways. Governance-exhausted slabs (the
-    // ladder gate tripped on cancel/deadline/budget) must NOT reach the
-    // whole-input fallback — recomputing everything sequentially is the
-    // most expensive possible response to "stop spending resources". They
-    // either become a partial result (allow_partial) or fail the request
-    // with the precise governance code. Only fault-exhausted slabs (every
-    // rung genuinely failed) take the whole-input rung.
-    const DegradationReport* gov_first = nullptr;
-    bool fault_exhausted = false;
-    for (const SlabOut& so : outs) {
+  try {
+    group.wait();
+  } catch (...) {
+    // A fault fired in the scheduler wrapper itself, or a governance trip
+    // hit its entry checkpoint: TaskGroup aggregated it into one
+    // exception and skipped not-yet-started tasks. Recover every lost
+    // slab here on the calling thread, starting one rung down the ladder
+    // (a governance trip makes each one stop at the ladder gate).
+    DegradationReport group_rep;
+    classify_failure(group_rep);
+    group_rep.attempts = 1;  // the task attempt the group aborted
+    for (std::size_t t = 0; t < nslabs; ++t)
+      if (!outs[t].done) {
+        outs[t].report = group_rep;
+        run_slab(job, t, outs[t], Rung::kRetrySafe, clip_id);
+      }
+  }
+  // Exhausted slabs split two ways. Governance-exhausted slabs (the
+  // ladder gate tripped on cancel/deadline/budget) must NOT reach the
+  // whole-input fallback — recomputing everything sequentially is the
+  // most expensive possible response to "stop spending resources". They
+  // either become a partial result (allow_partial) or fail the request
+  // with the precise governance code. Only fault-exhausted slabs (every
+  // rung genuinely failed) take the whole-input rung.
+  const DegradationReport* gov_first = nullptr;
+  bool fault_exhausted = false;
+  for (const SlabOut& so : outs) {
+    if (!so.exhausted) continue;
+    if (!is_governance(so.report.cause))
+      fault_exhausted = true;
+    else if (!gov_first)
+      gov_first = &so.report;
+  }
+  if (gov_first && !allow_partial_) {
+    // Prefer the live token state (clean message); fall back to the
+    // recorded first governance failure (e.g. a transient budget trip
+    // whose sticky state has since cleared).
+    par::gov::rethrow_if_stopped();
+    throw Error(gov_first->cause, gov_first->message);
+  }
+  if (gov_first) {
+    partial.partial = true;
+    partial.cause = gov_first->cause;
+    partial.message = gov_first->message;
+    for (std::size_t t = 0; t < nslabs; ++t) {
+      SlabOut& so = outs[t];
       if (!so.exhausted) continue;
-      if (!is_governance(so.report.cause))
-        fault_exhausted = true;
-      else if (!gov_first)
-        gov_first = &so.report;
-    }
-    if (gov_first && !allow_partial_) {
-      // Prefer the live token state (clean message); fall back to the
-      // recorded first governance failure (e.g. a transient budget trip
-      // whose sticky state has since cleared).
-      par::gov::rethrow_if_stopped();
-      throw Error(gov_first->cause, gov_first->message);
-    }
-    if (gov_first) {
-      partial.partial = true;
-      partial.cause = gov_first->cause;
-      partial.message = gov_first->message;
-      for (std::size_t t = 0; t < nslabs; ++t) {
-        SlabOut& so = outs[t];
-        if (!so.exhausted) continue;
-        so.report.rung = Rung::kPartialResult;
-        const auto [y_lo, y_hi] = job.extents[t];
-        if (!partial.missing.empty() && partial.missing.back().last + 1 == t) {
-          partial.missing.back().last = t;
-          partial.missing.back().y_hi = y_hi;
-        } else {
-          partial.missing.push_back({t, t, y_lo, y_hi});
-        }
+      so.report.rung = Rung::kPartialResult;
+      const auto [y_lo, y_hi] = job.extents[t];
+      if (!partial.missing.empty() && partial.missing.back().last + 1 == t) {
+        partial.missing.back().last = t;
+        partial.missing.back().y_hi = y_hi;
+      } else {
+        partial.missing.push_back({t, t, y_lo, y_hi});
       }
-    } else if (fault_exhausted) {
-      // Final rung: abandon the slab decomposition and recompute the whole
-      // request sequentially. Runs keyless so slab-keyed fault plans cannot
-      // follow the computation here; a fault that still fires (kAnyKey plan
-      // with shots left) means nothing can produce output, and propagates.
-      obs::ScopedSpan whole_span(sink_, to_string(Rung::kWholeInput),
-                                 obs::Cat::kRung);
-      whole_span.arg("rung", static_cast<std::int64_t>(Rung::kWholeInput));
-      par::fault::ScopedKey key(par::fault::kNoKey);
-      geom::PolygonSet whole = job.whole_input();
-      for (SlabOut& so : outs) {
-        so.work.result = geom::PolygonSet{};
-        so.report.rung = Rung::kWholeInput;
-      }
-      outs[0].work.result = std::move(whole);
-      whole_input = true;
     }
+  } else if (fault_exhausted) {
+    // Final rung: abandon the slab decomposition and recompute the whole
+    // request sequentially. Runs keyless so slab-keyed fault plans cannot
+    // follow the computation here; a fault that still fires (kAnyKey plan
+    // with shots left) means nothing can produce output, and propagates.
+    obs::ScopedSpan whole_span(sink_, to_string(Rung::kWholeInput),
+                               obs::Cat::kRung);
+    whole_span.arg("rung", static_cast<std::int64_t>(Rung::kWholeInput));
+    par::fault::ScopedKey key(par::fault::kNoKey);
+    geom::PolygonSet whole = job.whole_input();
+    for (SlabOut& so : outs) {
+      so.work.result = geom::PolygonSet{};
+      so.report.rung = Rung::kWholeInput;
+    }
+    outs[0].work.result = std::move(whole);
+    whole_input = true;
   }
   const double t_clip = phase_timer.seconds();
 

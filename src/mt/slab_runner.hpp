@@ -5,7 +5,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,17 +45,16 @@ struct SlabJob {
   /// y-extent of every slab task; its size is the slab count. Names the
   /// missing strips of a partial result.
   std::vector<std::pair<double, double>> extents;
-  /// The per-slab degradation ladder, tried in order from kHealthy.
-  std::span<const Rung> rungs;
-  /// One attempt at slab `t` on `rung`. `arena` is the executing worker's
-  /// arena on the healthy rung and null on every other rung (fresh
-  /// scratch). `charge` is the attempt's memory-budget charge, released
-  /// when the attempt ends. Throws on any failure.
-  std::function<void(std::size_t t, Rung rung, SlabArena* arena,
+  /// One attempt at slab `t`. `arena` is the executing worker's arena on
+  /// the healthy rung; null means kRetrySafe — fresh scratch and the
+  /// engine's materializing path, bit-identical to the healthy one.
+  /// `charge` is the attempt's memory-budget charge, released when the
+  /// attempt ends. Throws on any failure.
+  std::function<void(std::size_t t, SlabArena* arena,
                      par::gov::ScopedCharge& charge, SlabWork& out)>
       attempt;
   /// The whole request clipped sequentially: the final fallback when a
-  /// slab exhausts its ladder on faults. Runs keyless.
+  /// slab fails both of its rungs on faults. Runs keyless.
   std::function<geom::PolygonSet()> whole_input;
   /// Optional post-pass over the concatenated slab outputs (multiset
   /// duplicate removal); returns the number of contours it removed.
@@ -68,16 +66,16 @@ struct SlabJob {
 /// two-layer variant): every slab clipped sequentially, all slabs in
 /// parallel, outputs concatenated. Constructed at request entry from the
 /// engine's options (Alg2Options or MultisetOptions: trace_sink, cancel,
-/// isolate_faults, allow_partial), it opens the request span, starts the
-/// setup clocks and installs the request's governance token for the whole
-/// run — a null token inherits whatever the caller (psclip::clip facade)
+/// allow_partial), it opens the request span, starts the setup clocks and
+/// installs the request's governance token for the whole run — a null token inherits whatever the caller (psclip::clip facade)
 /// already installed, and TaskGroup/parallel_for re-install it inside every
 /// task — then checkpoints, so an already-dead request does no work. The
 /// engine runs its setup and calls run() once.
 ///
 /// run() owns everything around the per-slab clip: one TaskGroup task per
-/// slab, the degradation ladder with its governance gate and failure
-/// classification, caller-side recovery of tasks lost to a group fault,
+/// slab, the degradation ladder (kHealthy → kRetrySafe → kWholeInput,
+/// always on) with its governance gate and failure classification,
+/// caller-side recovery of tasks lost to a group fault,
 /// the governance-vs-fault split of exhausted slabs (PartialReport or the
 /// keyless whole-input fallback), the slab/rung spans, the
 /// `<prefix>.*` metrics and the Alg2Stats assembly.
@@ -89,7 +87,6 @@ class SlabRunner {
       : names_(names),
         pool_(pool),
         sink_(opts.trace_sink),
-        isolate_faults_(opts.isolate_faults),
         allow_partial_(opts.allow_partial),
         req_span_(opts.trace_sink, names.request, obs::Cat::kRequest) {
     if (opts.cancel.valid()) gov_scope_.emplace(opts.cancel);
@@ -122,7 +119,6 @@ class SlabRunner {
   const EngineNames& names_;
   par::ThreadPool& pool_;
   obs::TraceSink* sink_;
-  bool isolate_faults_;
   bool allow_partial_;
   std::optional<par::gov::ScopedToken> gov_scope_;
   obs::ScopedSpan req_span_;

@@ -21,14 +21,6 @@ enum class Rung : std::uint8_t {
   /// scratch, no arena. Produces bit-identical output to the healthy path —
   /// the recovery rung for every transient or state-corruption fault.
   kRetrySafe,
-  /// slab_clip only: broadcast partition with the *alternate* rectangle
-  /// clipper (Vatti if the configured method was Greiner–Hormann, and vice
-  /// versa). Same region, possibly different vertex representation.
-  kAltRectMethod,
-  /// slab_clip only: the slab's rectangle re-clipped against both whole
-  /// inputs with the full sequential Vatti clipper (rectangle as a polygon
-  /// operand — no rect_clip fast path at all).
-  kSlabSequential,
   /// Final rung: the entire request recomputed by the sequential Vatti
   /// clipper, abandoning the slab decomposition (result contours are no
   /// longer split at slab boundaries).
@@ -46,8 +38,6 @@ inline const char* to_string(Rung r) {
   switch (r) {
     case Rung::kHealthy: return "healthy";
     case Rung::kRetrySafe: return "retry-safe";
-    case Rung::kAltRectMethod: return "alt-rect-method";
-    case Rung::kSlabSequential: return "slab-sequential";
     case Rung::kWholeInput: return "whole-input";
     case Rung::kPartialResult: return "partial-result";
   }

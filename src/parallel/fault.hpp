@@ -21,9 +21,9 @@ namespace psclip::par::fault {
 /// *which* execution context fires (slab index, task index, or any), and a
 /// fire count. Each matching site evaluation consumes one firing until the
 /// count is exhausted, so a test can force a failure at attempt 1 only
-/// (exercising the first degradation rung), attempts 1..k (driving the
-/// ladder k rungs deep), or every attempt within one slab (forcing the
-/// whole-input fallback) — all bit-reproducibly, with no timing dependence.
+/// (exercising the retry rung) or at every attempt within one slab
+/// (forcing the whole-input fallback) — all bit-reproducibly, with no
+/// timing dependence.
 ///
 /// Keys make targeting deterministic under the work-stealing scheduler: a
 /// slab task installs ScopedKey(slab) for its whole attempt, so a plan

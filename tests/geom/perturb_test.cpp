@@ -17,6 +17,17 @@ TEST(RemoveHorizontals, SquareBecomesHorizontalFree) {
   EXPECT_FALSE(has_horizontal_edges(p));
 }
 
+TEST(RemoveHorizontals, SquareFarFromOriginBecomesHorizontalFree) {
+  // Half an ULP of y = 1e10 (~9.5e-7) exceeds the largest relative nudge
+  // (height × 1e-9 × salt 17 = 1.7e-7): the step must be floored at one
+  // ULP, or every nudge rounds away and the horizontal edges survive.
+  PolygonSet p = make_polygon(
+      {{0, 1e10}, {10, 1e10}, {10, 1e10 + 10}, {0, 1e10 + 10}});
+  EXPECT_TRUE(has_horizontal_edges(p));
+  remove_horizontals(p);
+  EXPECT_FALSE(has_horizontal_edges(p));
+}
+
 TEST(RemoveHorizontals, AreaChangeIsTiny) {
   PolygonSet p = make_polygon({{0, 0}, {10, 0}, {10, 10}, {0, 10}});
   const double before = even_odd_area(p);

@@ -163,7 +163,7 @@ TEST(Algorithm2, StatsPhasesAndLoads) {
   EXPECT_GT(st.phases.total(), 0.0);
   EXPECT_GE(st.load_imbalance(), 1.0);
   EXPECT_GT(st.output_contours, 0);
-  // Fault isolation is on by default; a clean run records one healthy
+  // Fault isolation is always on; a clean run records one healthy
   // degradation report per slab and nothing else.
   ASSERT_EQ(st.degradation.size(), st.slabs.size());
   for (const auto& d : st.degradation) {

@@ -8,21 +8,25 @@
 // contract:
 //
 //   1. recovery: the output matches the unfaulted run — byte-identical
-//      when recovery happens on the kRetrySafe rung (which is broadcast
-//      repartition, guaranteed bit-equal to the healthy fused path by
-//      the cross-engine fuzz harness), area-equal on the deeper rungs
-//      (alternate rectangle clipper / sequential fallbacks legitimately
-//      change the vertex representation);
+//      when recovery happens on the kRetrySafe rung (the materializing
+//      path, guaranteed bit-equal to the healthy fused path by the
+//      cross-engine fuzz harness), area-equal on the kWholeInput rung
+//      (the sequential whole-input clip no longer splits contours at slab
+//      boundaries);
 //   2. accounting: Alg2Stats::degradation records exactly the expected
 //      rung, attempt count, and cause taxonomy code for the faulted slab,
-//      and kHealthy everywhere else.
+//      and kHealthy everywhere else (kWholeInput everywhere once the
+//      whole-input fallback fired).
 //
-// Rung determinism: one fault firing aborts exactly one attempt, and every
-// ladder rung of slab_clip enters vatti_clip at least once, so a
-// kVattiSweep plan with fire_count=k lands the slab exactly k rungs down.
-// rect-clip sites are unreachable from the kSlabSequential rung onward,
-// and the arena is only borrowed on the healthy rung, which pins their
-// deepest reachable rungs — the matrix encodes that reachability.
+// Rung reachability: both engines walk the same ladder, kHealthy →
+// kRetrySafe per slab, then kWholeInput for the whole request, and one
+// fault firing aborts exactly one attempt. Both per-slab rungs enter the
+// Vatti sweep (and, in slab_clip, the rectangle clipper), so a kVattiSweep
+// or kRectClip plan keyed to one slab ends on kRetrySafe when it fires
+// once and exhausts the slab when it fires twice or more; the whole-input
+// clip then runs keyless, out of the plan's reach. The arena and the
+// fused bound-construction site are only reached on the healthy rung, so
+// even an unbounded plan there stops at kRetrySafe.
 
 #include <gtest/gtest.h>
 
@@ -85,7 +89,7 @@ struct SlabMatrixCase {
   std::uint64_t fire_count;
   Rung want_rung;      ///< rung of the faulted slab
   ErrorCode want_cause;
-  bool byte_identical;  ///< deeper rungs are area-equal, not bit-equal
+  bool byte_identical;  ///< kWholeInput is area-equal, not bit-equal
 };
 
 // The targeted slab. With slabs=4 on the blob pair every slab rect-clips
@@ -123,17 +127,17 @@ const SlabMatrixCase kSlabMatrix[] = {
      Rung::kRetrySafe, ErrorCode::kNonFinite, true},
     {"fusedbounds-throw-many", Site::kFusedBounds, Kind::kThrow, 100,
      Rung::kRetrySafe, ErrorCode::kInjected, true},
-    // Repeated firings drive the ladder exactly one rung per firing.
-    {"vatti-throw-2", Site::kVattiSweep, Kind::kThrow, 2, Rung::kAltRectMethod,
+    // Two firings fail both per-slab rungs, so a repeated fault in one
+    // slab ends on the whole-input fallback; shots left over stay unused
+    // there because it runs keyless.
+    {"vatti-throw-2", Site::kVattiSweep, Kind::kThrow, 2, Rung::kWholeInput,
      ErrorCode::kInjected, false},
-    {"vatti-throw-3", Site::kVattiSweep, Kind::kThrow, 3,
-     Rung::kSlabSequential, ErrorCode::kInjected, false},
-    {"rect-throw-2", Site::kRectClip, Kind::kThrow, 2, Rung::kAltRectMethod,
+    {"vatti-throw-3", Site::kVattiSweep, Kind::kThrow, 3, Rung::kWholeInput,
      ErrorCode::kInjected, false},
-    // kSlabSequential never calls rect_clip, so the plan goes quiet there
-    // no matter how many shots remain.
-    {"rect-throw-many", Site::kRectClip, Kind::kThrow, 100,
-     Rung::kSlabSequential, ErrorCode::kInjected, false},
+    {"rect-throw-2", Site::kRectClip, Kind::kThrow, 2, Rung::kWholeInput,
+     ErrorCode::kInjected, false},
+    {"rect-throw-many", Site::kRectClip, Kind::kThrow, 100, Rung::kWholeInput,
+     ErrorCode::kInjected, false},
     // The arena is only borrowed on the healthy rung.
     {"arena-throw-many", Site::kArena, Kind::kThrow, 100, Rung::kRetrySafe,
      ErrorCode::kInjected, true},
@@ -196,6 +200,8 @@ TEST_P(SlabFaultMatrix, SingleSlabFaultIsIsolated) {
           << stats.degradation[t].message;
     }
   } else {
+    // The faulted slab failed both per-slab rungs.
+    EXPECT_EQ(rep.attempts, 2u);
     for (std::size_t t = 0; t < nslabs; ++t)
       EXPECT_EQ(stats.degradation[t].rung, Rung::kWholeInput) << "slab " << t;
   }
@@ -260,31 +266,6 @@ TEST(SlabFaultInjection, TaskGroupFaultRecoversOnCaller) {
   expect_identical(got, want, "task-group fault");
 }
 
-// Fail-fast mode: with isolation off, the injected fault must surface to
-// the caller unchanged instead of degrading.
-TEST(SlabFaultInjection, IsolationOffPropagatesFault) {
-  const auto pair = data::synthetic_pair(13, 40);
-  par::ThreadPool pool(4);
-  mt::Alg2Options o;
-  o.slabs = 4;
-  o.rect_method = seq::RectClipMethod::kVatti;
-  o.isolate_faults = false;
-
-  Plan p;
-  p.site = Site::kVattiSweep;
-  p.kind = Kind::kThrow;
-  p.key = kSlab;
-  p.fire_count = 1;
-  ArmedPlan armed(p);
-
-  try {
-    mt::slab_clip(pair.subject, pair.clip, BoolOp::kIntersection, pool, o);
-    FAIL() << "fault must propagate when isolation is off";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kInjected);
-  }
-}
-
 // Unkeyed unbounded plan: every slab fails on every rung AND the
 // whole-input fallback itself faults — nothing can produce output, so the
 // error must propagate rather than return garbage.
@@ -339,8 +320,11 @@ const MultisetMatrixCase kMultisetMatrix[] = {
      Rung::kRetrySafe, ErrorCode::kInjected, true},
     {"fusedbounds-throw-many", Site::kFusedBounds, Kind::kThrow, 100,
      Rung::kRetrySafe, ErrorCode::kInjected, true},
-    // The multiset ladder has two per-slab rungs; an unbounded keyed plan
-    // forces the keyless whole-input fallback.
+    // Same ladder as slab_clip: two firings fail both per-slab rungs, and
+    // so does an unbounded keyed plan; both force the keyless whole-input
+    // fallback.
+    {"vatti-throw-2", Site::kVattiSweep, Kind::kThrow, 2, Rung::kWholeInput,
+     ErrorCode::kInjected, false},
     {"vatti-throw-whole-input", Site::kVattiSweep, Kind::kThrow, 100,
      Rung::kWholeInput, ErrorCode::kInjected, false},
 };
@@ -389,7 +373,12 @@ TEST_P(MultisetFaultMatrix, SingleSlabFaultIsIsolated) {
       EXPECT_EQ(stats.degradation[t].rung, Rung::kHealthy)
           << "fault leaked into slab " << t;
     }
+  } else {
+    EXPECT_EQ(rep.attempts, 2u);
+    for (std::size_t t = 0; t < nslabs; ++t)
+      EXPECT_EQ(stats.degradation[t].rung, Rung::kWholeInput) << "slab " << t;
   }
+  EXPECT_EQ(stats.worst_rung(), c.want_rung);
 
   if (c.byte_identical) {
     expect_identical(got, want, c.name);
@@ -443,24 +432,6 @@ TEST(MultisetFaultInjection, TaskGroupFaultRecoversOnCaller) {
     EXPECT_LE(rep.rung, Rung::kRetrySafe) << rep.message;
 
   expect_identical(got, want, "multiset task-group fault");
-}
-
-TEST(MultisetFaultInjection, IsolationOffPropagatesFault) {
-  const PolygonSet a = data::polygon_field(511, 20, 90.0, 8);
-  const PolygonSet b = data::polygon_field(512, 20, 90.0, 7);
-  par::ThreadPool pool(4);
-  mt::MultisetOptions o;
-  o.slabs = 4;
-  o.isolate_faults = false;
-
-  Plan p;
-  p.site = Site::kVattiSweep;
-  p.kind = Kind::kThrow;
-  p.key = kSlab;
-  p.fire_count = 1;
-  ArmedPlan armed(p);
-
-  EXPECT_THROW(mt::multiset_clip(a, b, BoolOp::kIntersection, pool, o), Error);
 }
 
 }  // namespace

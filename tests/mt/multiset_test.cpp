@@ -184,7 +184,7 @@ TEST(Multiset, StatsFilled) {
   EXPECT_LE(st.slabs.size(), 4u);
   EXPECT_GE(st.phases.clip, 0.0);
   EXPECT_GE(st.load_imbalance(), 1.0);
-  // Clean run under default fault isolation: every slab healthy.
+  // Clean run under fault isolation: every slab healthy.
   ASSERT_EQ(st.degradation.size(), st.slabs.size());
   EXPECT_EQ(st.degraded_slabs(), 0);
   EXPECT_EQ(st.worst_rung(), Rung::kHealthy);
