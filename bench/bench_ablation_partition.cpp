@@ -8,7 +8,11 @@
 // Section 2 — Algorithm 2 Steps 4-5 slab partitioning: the fused partition
 // (a slab-overlap contour index picks each slab's contours, and slabs copy
 // globally prepared bound fragments) versus the paper's broadcast
-// formulation (every slab scans both whole inputs, O(p·n)). `touched`
+// formulation (every slab scans both whole inputs, O(p·n)). The broadcast
+// partition is slab_clip's kRetrySafe path; the broadcast column runs it
+// on every slab through test::ForceRetrySink, a trace sink that fails each
+// slab's healthy attempt (so it also pays one refused attempt per slab,
+// which is negligible next to the partition itself). `touched`
 // counts the input the partition step read — bound edges appended (fused)
 // or input vertices scanned (broadcast) — a deterministic, machine-noise-
 // free measure of partition work. With --json <path>, section 2 is
@@ -25,6 +29,7 @@
 #include "data/synthetic.hpp"
 #include "geom/perturb.hpp"
 #include "mt/algorithm2.hpp"
+#include "test_support.hpp"
 
 namespace {
 
@@ -98,11 +103,11 @@ int main(int argc, char** argv) {
   report.field("pool_threads", static_cast<long long>(pool.size()));
 
   bool gate_ok = true;
+  test::ForceRetrySink force_retry;
   for (const unsigned slabs : {1u, 4u, 8u, 16u}) {
     mt::Alg2Options of, ob;
     of.slabs = ob.slabs = slabs;
-    of.partition = mt::Alg2Partition::kFused;
-    ob.partition = mt::Alg2Partition::kBroadcast;
+    ob.trace_sink = &force_retry;
 
     mt::Alg2Stats sf, sb;
     geom::PolygonSet rf, rb;
@@ -156,6 +161,12 @@ int main(int argc, char** argv) {
     report.cell("broadcast_clip_cpu_ms", sb.phases.clip_cpu * 1e3);
     report.cell("broadcast_merge_cpu_ms", sb.phases.merge_cpu * 1e3);
 
+    if (!test::all_slabs_retried(sb)) {
+      std::fprintf(stderr,
+                   "FAIL: broadcast run did not retry every slab at %u slabs\n",
+                   slabs);
+      gate_ok = false;
+    }
     if (!identical(rf, rb)) {
       std::fprintf(stderr,
                    "FAIL: fused/broadcast outputs differ at %u slabs\n",

@@ -5,9 +5,10 @@
 //
 // Part B goes beyond the paper: the same skew is attacked with the
 // work-stealing slab scheduler. The static one-slab-per-thread
-// decomposition is compared against adaptive over-partitioning
-// (Alg2Options::oversubscribe = 4): c × p slabs are queued on the pool's
-// steal deques and idle workers steal half of a busy worker's queue, so the
+// decomposition (Alg2Options::slabs = p) is compared against slab_clip's
+// default over-partitioning (slabs = 0, i.e. 4 × p): the slabs are queued
+// on the pool's steal deques and idle workers steal half of a busy
+// worker's queue, so the
 // per-*worker* busy-time imbalance drops even though the per-*slab* skew is
 // unchanged. A bit-identity check confirms scheduling never changes the
 // output: the same decomposition produces byte-identical results no matter
@@ -147,27 +148,23 @@ int main(int argc, char** argv) {
   const SkewPair w = make_skewed_workload();
   const unsigned p = 4;
   par::ThreadPool pool(p);
-  // The polygram is self-intersecting, which only the Vatti rectangle
-  // clipper supports (the very limitation of GH the paper discusses).
-  const auto run = [&](par::ThreadPool& on, unsigned fixed_slabs,
-                       unsigned oversubscribe, mt::Alg2Stats* st) {
+  // slabs = 0 is slab_clip's default, four slabs per pool thread.
+  const auto run = [&](par::ThreadPool& on, unsigned slabs,
+                       mt::Alg2Stats* st) {
     mt::Alg2Options o;
-    o.slabs = fixed_slabs;
-    o.oversubscribe = oversubscribe;
-    o.rect_method = seq::RectClipMethod::kVatti;
+    o.slabs = slabs;
     return mt::slab_clip(w.subject, w.clip, geom::BoolOp::kIntersection, on,
                          o, st);
   };
 
-  mt::Alg2Stats st_static, st_oversub;
-  run(pool, /*fixed_slabs=*/p, /*oversubscribe=*/1, &st_static);
-  const geom::PolygonSet out =
-      run(pool, /*fixed_slabs=*/0, /*oversubscribe=*/4, &st_oversub);
+  mt::Alg2Stats st_static, st_default;
+  run(pool, /*slabs=*/p, &st_static);
+  const geom::PolygonSet out = run(pool, /*slabs=*/0, &st_default);
 
   print_workers("static decomposition: slabs = p = 4 (paper's Algorithm 2)",
                 st_static);
-  print_workers("adaptive over-partitioning: oversubscribe = 4 (16 slabs)",
-                st_oversub);
+  print_workers("default over-partitioning: slabs = 4 x p = 16",
+                st_default);
 
   const auto worker_rows = [&report](const char* array,
                                      const mt::Alg2Stats& st) {
@@ -185,24 +182,22 @@ int main(int argc, char** argv) {
     }
   };
   worker_rows("workers_static", st_static);
-  worker_rows("workers_oversubscribed", st_oversub);
+  worker_rows("workers_default", st_default);
   report.field("worker_imbalance_static", st_static.worker_imbalance());
-  report.field("worker_imbalance_oversubscribed",
-               st_oversub.worker_imbalance());
+  report.field("worker_imbalance_default", st_default.worker_imbalance());
 
-  std::printf("\nworker imbalance %0.2f -> %0.2f with oversubscribe=4 "
+  std::printf("\nworker imbalance %0.2f -> %0.2f with 4 slabs per thread "
               "(lower is better; the per-slab skew itself is unchanged,\n"
               "idle workers now steal queued slab jobs instead of waiting "
               "out the heaviest slab).\n",
-              st_static.worker_imbalance(), st_oversub.worker_imbalance());
+              st_static.worker_imbalance(), st_default.worker_imbalance());
 
   // Scheduling must never leak into the output: the same decomposition on
   // one worker (no concurrency, no steals) must match byte for byte.
   par::ThreadPool serial(1);
   // Same decomposition (p * 4 = 16 slabs, explicitly) on one worker: no
   // concurrency, no steals — stealing is the only variable left.
-  const geom::PolygonSet ref = run(serial, /*fixed_slabs=*/p * 4,
-                                   /*oversubscribe=*/1, nullptr);
+  const geom::PolygonSet ref = run(serial, /*slabs=*/p * 4, nullptr);
   const bool identical = bit_identical(out, ref);
   std::printf("bit-identical across schedules: %s\n",
               identical ? "yes" : "NO — BUG");

@@ -6,7 +6,7 @@
 // the Vatti sweep structures from scratch (clean + coalesce + perturb +
 // bound decomposition + schedule sort), so slabbing inflated clip CPU by
 // ~2x even though the slabs' touched edges barely grew. The fused partition
-// (Alg2Partition::kFused) copies globally prepared bound fragments and
+// (slab_clip's healthy rung) copies globally prepared bound fragments and
 // slices one shared schedule, making per-slab setup cost proportional to
 // what the slab actually sweeps.
 //

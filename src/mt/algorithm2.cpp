@@ -12,6 +12,7 @@
 #include "parallel/sort.hpp"
 #include "parallel/timing.hpp"
 #include "seq/bounds.hpp"
+#include "seq/rect_clip.hpp"
 #include "seq/vatti.hpp"
 
 namespace psclip::mt {
@@ -20,15 +21,16 @@ namespace {
 constexpr EngineNames kNames{"alg2", "alg2.slab_clip", "alg2.clip",
                              "alg2.slab", "alg2.merge"};
 
+/// Default slab count per pool thread (Alg2Options::slabs == 0).
+constexpr unsigned kSlabsPerThread = 4;
+
 }  // namespace
 
 geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
                            const geom::PolygonSet& clip, geom::BoolOp op,
                            par::ThreadPool& pool, const Alg2Options& opts,
                            Alg2Stats* stats) {
-  const unsigned p =
-      opts.slabs ? opts.slabs
-                 : pool.size() * std::max(1u, opts.oversubscribe);
+  const unsigned p = opts.slabs ? opts.slabs : kSlabsPerThread * pool.size();
   SlabRunner runner(kNames, pool, opts);
   obs::TraceSink* const sink = opts.trace_sink;
   obs::ScopedSpan setup_span(sink, "alg2.setup", obs::Cat::kPhase);
@@ -58,10 +60,9 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
       slab_bounds(ys, mbr.ymin - margin, mbr.ymax + margin, p);
   const std::size_t nslabs = bounds.size() - 1;
 
-  // kFused setup. Slab-overlap contour index: cache each contour's bbox in
+  // Fused setup. Slab-overlap contour index: cache each contour's bbox in
   // one parallel pass, then build per-slab exact overlap lists so slab t
-  // only ever reads its own contours. Under kBroadcast the index is skipped
-  // and every slab scans both whole inputs (the paper's O(p·n) form).
+  // only ever reads its own contours.
   //
   // Then prepare every contour once, globally. Every prep step is
   // per-contour deterministic, so a slab copying a fragment gets bit for
@@ -73,7 +74,6 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
   // their schedule ys go into one shared globally merged y-schedule that
   // slab tasks slice instead of re-sorting, and the strict containment is
   // what makes the slice exact.
-  const bool fused = opts.partition == Alg2Partition::kFused;
   struct FusedInput {
     const geom::PolygonSet& set;
     bool is_clip;
@@ -85,7 +85,7 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
   FusedInput inputs[] = {{subject, false, {}, {}, {}, {}},
                          {clip, true, {}, {}, {}, {}}};
   std::vector<double> shared_ys;
-  if (fused) {
+  {
     obs::ScopedSpan prep_span(sink, "alg2.fused_prep", obs::Cat::kPhase);
     std::vector<std::size_t> runs{0};
     for (FusedInput& in : inputs) {
@@ -130,11 +130,10 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
     par::ThreadCpuTimer cpu_timer;
     const geom::BBox rect{mbr.xmin - 1.0, bounds[t], mbr.xmax + 1.0,
                           bounds[t + 1]};
-    const bool fused_rung = arena && fused;
     geom::PolygonSet a_t, b_t;  // materialized slab inputs
     bool finite = true;
-    if (fused_rung) {
-      // Fused fast path: assemble the slab's bound table and scanbeam
+    if (arena) {
+      // Healthy rung, fused: assemble the slab's bound table and scanbeam
       // schedule directly from the globally prepared fragments — no
       // intermediate slab polygon sets, no per-slab re-preparation, no
       // per-slab schedule sort. The ladder's next rung (kRetrySafe) is the
@@ -162,9 +161,9 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
           arena->refs.push_back({in.prep.prep[e.contour],
                                  &in.set.contours[e.contour], e.inside,
                                  in.well[e.contour] != 0});
-        if (!seq::clip_bounds_to_slab(arena->refs, rect, opts.rect_method,
-                                      in.is_clip, &arena->rect, bt, sched,
-                                      arena->run_end, &fstats))
+        if (!seq::clip_bounds_to_slab(arena->refs, rect, in.is_clip,
+                                      &arena->rect, bt, sched, arena->run_end,
+                                      &fstats))
           finite = false;
       }
       seq::sort_minima(bt);
@@ -178,11 +177,10 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
       w.load.bound_build_ns = static_cast<std::int64_t>(timer.seconds() * 1e9);
       part_span.arg("boundary_edges", w.load.boundary_edges);
     } else {
-      // Materializing path: broadcast partition — the healthy rung under
-      // kBroadcast, and kRetrySafe on fresh scratch (bit-identical to the
-      // fused path).
-      a_t = seq::rect_clip(subject, rect, opts.rect_method);
-      b_t = seq::rect_clip(clip, rect, opts.rect_method);
+      // kRetrySafe, materializing: the paper's broadcast partition on fresh
+      // scratch (bit-identical to the fused path).
+      a_t = seq::rect_clip(subject, rect);
+      b_t = seq::rect_clip(clip, rect);
       w.load.touched_edges = static_cast<std::int64_t>(nverts);
       // Charge the materialized slab inputs (the structures this attempt
       // retains until it returns); the sweep's own checkpoint charges
@@ -206,7 +204,7 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
     timer.reset();
     cpu_timer.reset();
     seq::VattiStats vs;
-    if (fused_rung) {
+    if (arena) {
       // One bottom-up merge of (shared slice, stray runs, piece runs) — the
       // same sorted distinct schedule either sweep kernel would have built
       // from this table — then the sweep.
@@ -220,8 +218,7 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
                                            opts.sweep_kernel,
                                            /*prebuilt_schedule=*/true);
     } else {
-      w.result = seq::vatti_clip(a_t, b_t, op, &vs,
-                                 arena ? &arena->vatti : nullptr,
+      w.result = seq::vatti_clip(a_t, b_t, op, &vs, nullptr,
                                  opts.sweep_kernel);
       w.load.bound_build_ns = vs.bound_build_ns;
       w.load.schedule_ns = vs.schedule_ns;

@@ -5,7 +5,6 @@
 #include "mt/stats.hpp"
 #include "parallel/cancel.hpp"
 #include "parallel/thread_pool.hpp"
-#include "seq/rect_clip.hpp"
 #include "seq/vatti.hpp"
 
 namespace psclip::obs {
@@ -17,46 +16,18 @@ class PreparedSource;
 
 namespace psclip::mt {
 
-/// How Algorithm 2's Steps 4–5 select the input handed to each slab task.
-enum class Alg2Partition {
-  /// The paper's formulation: every slab task scans both whole input sets
-  /// and rectangle-clips them against its slab. O(p·n) partition work.
-  /// Retained as the ablation baseline and as the materializing path of
-  /// the kRetrySafe rung; produces byte-identical output.
-  kBroadcast,
-  /// Fused slab-local bound construction (the default, DESIGN.md §10):
-  /// every contour is prepared (clean + coalesce + perturb + bound
-  /// decomposition) once globally, a slab-overlap contour index gives each
-  /// slab its contours, and their prepared bound fragments go straight into
-  /// the worker arena's BoundTable — straddlers are rectangle-clipped at
-  /// the bound level (seq::clip_bounds_to_slab) — while the per-slab
-  /// scanbeam schedule is sliced from one shared merged y-schedule.
-  /// Partition work is output-sensitive in the slab overlap sizes.
-  /// Byte-identical output to kBroadcast.
-  kFused,
-};
-
 /// Options for the multi-threaded slab clipper (Algorithm 2).
 struct Alg2Options {
   /// Number of horizontal slabs (the paper uses one per thread). 0 = derive
-  /// from the pool: oversubscribe × pool.size().
+  /// from the pool: 4 × pool.size(). The slab jobs are scheduled on the
+  /// pool's work-stealing deques, so idle workers steal queued slabs from
+  /// busy ones; the paper's static one-slab-per-thread decomposition
+  /// (`slabs = pool.size()`) leaves workers idle while the heaviest slab
+  /// finishes (Fig. 11), and four slabs per thread trade a little extra
+  /// rectangle clipping for a much tighter per-worker load distribution.
+  /// The slab decomposition — and therefore the output — depends only on
+  /// the slab count, never on scheduling order.
   unsigned slabs = 0;
-  /// Adaptive over-partitioning factor used when `slabs == 0`: the input is
-  /// cut into oversubscribe × p slabs and the slab jobs are scheduled on
-  /// the pool's work-stealing deques, so idle workers steal queued slabs
-  /// from busy ones. The paper's static one-slab-per-thread decomposition
-  /// (oversubscribe = 1) leaves workers idle while the heaviest slab
-  /// finishes (Fig. 11); a factor of ~4 trades a little extra rectangle
-  /// clipping for a much tighter per-worker load distribution. The slab
-  /// decomposition — and therefore the output — depends only on the
-  /// resulting slab count, never on scheduling order.
-  unsigned oversubscribe = 4;
-  /// Clipper used for the rectangle-clipping Steps 4–5; the paper picks
-  /// Greiner–Hormann after benchmarking it against GPC.
-  seq::RectClipMethod rect_method = seq::RectClipMethod::kGreinerHormann;
-  /// Partition-input selection strategy (see Alg2Partition). Both settings
-  /// produce byte-identical results; kBroadcast exists for ablation.
-  Alg2Partition partition = Alg2Partition::kFused;
   /// Per-beam maintenance strategy of the sequential Vatti sweep that runs
   /// inside every slab (see seq::SweepKernel). Both settings produce
   /// byte-identical output; kReference reproduces the pre-optimization cost
@@ -108,7 +79,9 @@ struct Alg2Options {
 ///   3    compute the minimum bounding rectangle of A ∪ B,
 ///   4–5  cut both inputs into p horizontal slabs with (nearly) equal
 ///        event-point counts; slab boundaries are placed *between*
-///        adjacent event ordinates so no vertex lies on a boundary,
+///        adjacent event ordinates so no vertex lies on a boundary, and
+///        rectangle-clip the contours that straddle a boundary with
+///        Greiner–Hormann (the paper's choice over GPC for this step),
 ///   6    clip each slab pair with the sequential Vatti clipper
 ///        (our GPC stand-in), all slabs in parallel,
 ///   8    concatenate the per-slab outputs (the paper's sequential merge:
@@ -116,8 +89,15 @@ struct Alg2Options {
 ///        union; contours crossing slab boundaries remain split, exactly
 ///        as in the paper).
 ///
-/// A failed slab is retried once on fresh scratch, then the whole request
-/// falls back to sequential Vatti (see mt::Rung, Alg2Stats::degradation).
+/// Steps 4–5 run fused (DESIGN.md §10): every contour is prepared once
+/// globally, a slab-overlap contour index gives each slab its contours, and
+/// the slab's bound table is assembled from their prepared fragments, with
+/// straddlers rectangle-clipped at the bound level. A failed slab is retried
+/// once on fresh scratch through the materializing path — the paper's
+/// broadcast partition (seq::rect_clip of both whole inputs, then
+/// seq::vatti_clip), byte-identical to the fused one — then the whole
+/// request falls back to sequential Vatti (see mt::Rung,
+/// Alg2Stats::degradation).
 geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
                            const geom::PolygonSet& clip, geom::BoolOp op,
                            par::ThreadPool& pool, const Alg2Options& opts = {},

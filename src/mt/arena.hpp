@@ -23,15 +23,14 @@ namespace psclip::mt {
 /// reallocated, so a worker that clips many slabs touches the allocator
 /// only while its high-water marks are still growing.
 struct SlabArena {
-  seq::VattiScratch vatti;      ///< sweep-structure pools for vatti_clip
+  seq::VattiScratch vatti;      ///< sweep-structure pools for the fused sweep
   seq::RectClipScratch rect;    ///< straddling-contour buffer for rect clips
-  /// Fused-partition staging (Alg2Partition::kFused): the slab's overlap
-  /// list in index order, as seq::clip_bounds_to_slab reads it.
+  /// Fused-partition staging: the slab's overlap list in index order, as
+  /// seq::clip_bounds_to_slab reads it.
   std::vector<seq::SlabContourRef> refs;
   /// Schedule-run boundaries for the fused path's merge_sorted_runs_unique
   /// over the scratch schedule (scratch_schedule(vatti)).
   std::vector<std::size_t> run_end;
-
 
   /// Approximate bytes resident in this arena (capacity-based, like
   /// seq::VattiScratch::resident_bytes): the per-worker high-water mark the

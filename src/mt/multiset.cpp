@@ -255,7 +255,7 @@ geom::PolygonSet multiset_clip(const geom::PolygonSet& subject,
   // then concatenate the prepared fragments. Every prep step is
   // per-contour deterministic, so a fragment copy is bit for bit what a
   // materializing vatti_clip would have rebuilt inside the slab.
-  if (opts.fused) {
+  {
     obs::ScopedSpan prep_span(sink, "multiset.fused_prep", obs::Cat::kPhase);
     for (Layer& l : layers)
       l.prep = prepare_input(
@@ -272,20 +272,20 @@ geom::PolygonSet multiset_clip(const geom::PolygonSet& subject,
   // One attempt at one slab. The slab id lists are immutable during the
   // clip phase, so a retry simply re-reads them.
   //
-  // Healthy + fused: a slab holds whole polygons, so every one is an
+  // Healthy rung, fused: a slab holds whole polygons, so every one is an
   // *inside* contour of the slab — clip_bounds_to_slab concatenates their
   // prepared bound fragments into the arena's bound table and their
   // schedule ys as runs, and the sweep follows: no contour copies, no
-  // re-preparation, no schedule sort. kRetrySafe (and fused off)
-  // materializes the slab's PolygonSets from the id lists and runs the
-  // ordinary vatti_clip, which rebuilds the same table bit for bit
-  // (per-contour deterministic prep).
+  // re-preparation, no schedule sort. kRetrySafe materializes the slab's
+  // PolygonSets from the id lists and runs the ordinary vatti_clip on fresh
+  // scratch, which rebuilds the same table bit for bit (per-contour
+  // deterministic prep).
   auto attempt = [&](std::size_t t, SlabArena* arena,
                      par::gov::ScopedCharge& charge, SlabWork& w) {
     par::WallTimer timer;
     par::ThreadCpuTimer cpu_timer;
     seq::VattiStats vs;
-    if (arena && opts.fused) {
+    if (arena) {
       seq::BoundTable& bt = seq::scratch_bounds(arena->vatti);
       bt.edges.clear();
       bt.minima.clear();
@@ -299,8 +299,7 @@ geom::PolygonSet multiset_clip(const geom::PolygonSet& subject,
         for (const std::uint32_t id : l.slab_ids[t])
           arena->refs.push_back({l.prep.prep[id], l.recs[id].contour,
                                  /*inside=*/true, /*in_shared=*/false});
-        if (!seq::clip_bounds_to_slab(arena->refs, geom::BBox{},
-                                      seq::RectClipMethod::kVatti, l.is_clip,
+        if (!seq::clip_bounds_to_slab(arena->refs, geom::BBox{}, l.is_clip,
                                       &arena->rect, bt, ys, arena->run_end,
                                       &fstats))
           finite = false;
@@ -330,8 +329,7 @@ geom::PolygonSet multiset_clip(const geom::PolygonSet& subject,
       const std::size_t verts = in[0].num_vertices() + in[1].num_vertices();
       charge.raise_to(verts * sizeof(geom::Point));
       w.load.touched_edges = static_cast<std::int64_t>(verts);
-      w.result = seq::vatti_clip(in[0], in[1], op, &vs,
-                                 arena ? &arena->vatti : nullptr,
+      w.result = seq::vatti_clip(in[0], in[1], op, &vs, nullptr,
                                  opts.sweep_kernel);
       w.load.bound_build_ns = vs.bound_build_ns;
       w.load.schedule_ns = vs.schedule_ns;

@@ -49,17 +49,6 @@ const char* to_string(MultisetAssign a);
 struct MultisetOptions {
   unsigned slabs = 0;  ///< 0 = pool thread count
   MultisetAssign assign = MultisetAssign::kAuto;
-  /// Fused slab-local bound construction (default on): every polygon is
-  /// prepared (clean + coalesce + perturb + bound decomposition + schedule
-  /// run) once globally, and each slab task concatenates the prepared
-  /// fragments of its assigned polygons straight into the worker arena's
-  /// bound table — no per-slab contour copies, no per-slab re-preparation,
-  /// and the scanbeam schedule is a linear run merge instead of a sort.
-  /// Replication assigns whole polygons (never split), so a slab's bound
-  /// table is bit-identical to what a materializing vatti_clip would have
-  /// rebuilt; output is byte-identical either way. Off reproduces the
-  /// copy-then-rederive baseline for ablation.
-  bool fused = true;
   /// Sweep kernel for the per-slab sequential clips (see seq::SweepKernel);
   /// both settings are byte-identical, kReference exists for ablations.
   seq::SweepKernel sweep_kernel = seq::SweepKernel::kTuned;
@@ -88,6 +77,17 @@ struct MultisetOptions {
 /// slabs per `MultisetAssign` (replicated, never split), each slab pair
 /// is clipped sequentially with the Vatti clipper, all slabs in parallel,
 /// and redundant outputs from replicated pairs are removed afterwards.
+///
+/// Slab clipping is fused: every polygon is prepared (clean + coalesce +
+/// perturb + bound decomposition + schedule run) once globally, and each
+/// slab task concatenates the prepared fragments of its assigned polygons
+/// straight into the worker arena's bound table — no per-slab contour
+/// copies, no per-slab re-preparation, and the scanbeam schedule is a
+/// linear run merge instead of a sort. A failed slab is retried once on
+/// fresh scratch by materializing its polygons and running the ordinary
+/// seq::vatti_clip, which rebuilds the same table bit for bit (replication
+/// assigns whole polygons, never split), then the whole request falls back
+/// to sequential Vatti.
 ///
 /// Assumes layers in the GIS sense: polygons within one input do not
 /// overlap each other (their union interiors are disjoint).

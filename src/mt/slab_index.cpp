@@ -12,11 +12,20 @@ std::vector<double> slab_bounds(std::span<const double> events, double lo,
                                 double hi, unsigned slabs) {
   std::vector<double> bounds{lo};
   const std::size_t n = events.size();
+  std::size_t next = 1;  // first gap (events[cut-1], events[cut]) still free
   for (unsigned t = 1; t < slabs; ++t) {
-    const std::size_t cut = t * n / slabs;
-    if (cut == 0 || cut >= n) continue;
-    const double b = 0.5 * (events[cut - 1] + events[cut]);
-    if (b > bounds.back()) bounds.push_back(b);
+    std::size_t cut = t * n / slabs;
+    if (cut < next) continue;
+    // The midpoint of two events one ULP apart (or equal) rounds onto one
+    // of them; such a gap has no room for a cut, so take the next that has.
+    for (; cut < n; ++cut) {
+      const double b = 0.5 * (events[cut - 1] + events[cut]);
+      if (events[cut - 1] < b && b < events[cut]) {
+        bounds.push_back(b);
+        break;
+      }
+    }
+    next = cut + 1;
   }
   if (hi > bounds.back()) bounds.push_back(hi);
   return bounds;

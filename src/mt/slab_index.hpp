@@ -61,16 +61,19 @@ struct SlabRange {
   /// The interval overlaps exactly one slab. Combined with a strict
   /// containment test on the *prepared* bbox, this is how the fused
   /// partition decides a contour's schedule ys can come from the shared
-  /// global slice (see Alg2Partition::kFused).
+  /// global slice (see mt::slab_clip).
   [[nodiscard]] bool single() const { return lo == hi; }
 };
 
 /// Slab boundaries with (nearly) equal event counts per slab: `lo`, then
 /// one cut midway between the two sorted `events` at each multiple of
-/// events.size() / slabs (skipping cuts that would not increase), then
-/// `hi` when above the last cut. Both engines place their slabs this way —
-/// slab_clip over distinct vertex ordinates, multiset_clip over MBR
-/// y-extents — so no event lies exactly on an interior boundary.
+/// events.size() / slabs, then `hi` when above the last cut. A cut is
+/// strictly between its two events; where their midpoint rounds onto one of
+/// them (events equal or one ULP apart) it moves up to the next gap with
+/// room, and a multiple whose gap is already taken is skipped. Both engines
+/// place their slabs this way — slab_clip over distinct vertex ordinates,
+/// multiset_clip over MBR y-extents — so no event lies exactly on an
+/// interior boundary.
 std::vector<double> slab_bounds(std::span<const double> events, double lo,
                                 double hi, unsigned slabs);
 

@@ -37,7 +37,7 @@ struct SlabRunner::SlabOut {
   SlabWork work;
   DegradationReport report;
   int worker = -1;         ///< pool worker that ran the slab (-1 = caller)
-  bool done = false;       ///< slab task body ran (vs. lost to a group fault)
+  bool done = false;       ///< ladder walk finished (vs. lost to a throw)
   bool exhausted = false;  ///< every ladder rung failed or was gated off
 };
 
@@ -75,11 +75,10 @@ void SlabRunner::attempt(const SlabJob& job, std::size_t t, Rung rung,
 
 // Walk one slab down the per-slab rungs (kHealthy, then kRetrySafe)
 // starting at `first`. Records rung reached / attempt count / first cause
-// in so.report; flags the slab exhausted when no rung succeeded. Never
-// throws.
+// in so.report; flags the slab exhausted when no rung succeeded. Throws
+// only if the trace sink throws while a failed attempt is being recorded.
 void SlabRunner::run_ladder(const SlabJob& job, std::size_t t, SlabOut& so,
                             Rung first) {
-  so.done = true;
   bool recorded = !so.report.message.empty();
   for (const Rung rung : {Rung::kHealthy, Rung::kRetrySafe}) {
     if (rung < first) continue;
@@ -98,10 +97,13 @@ void SlabRunner::run_ladder(const SlabJob& job, std::size_t t, SlabOut& so,
     }
     ++so.report.attempts;
     // One kRung span per attempt, named after the rung; nests under the
-    // enclosing slab span (same thread, implicit parent).
-    obs::ScopedSpan rung_span(sink_, to_string(rung), obs::Cat::kRung);
-    rung_span.arg("rung", static_cast<std::int64_t>(rung));
+    // enclosing slab span (same thread, implicit parent). Opened inside the
+    // guarded region: a sink that throws fails this attempt like any fault
+    // and the slab moves down the ladder.
+    obs::ScopedSpan rung_span;
     try {
+      rung_span = obs::ScopedSpan(sink_, to_string(rung), obs::Cat::kRung);
+      rung_span.arg("rung", static_cast<std::int64_t>(rung));
       attempt(job, t, rung, so.work);
       so.report.rung = rung;
       return;
@@ -133,6 +135,9 @@ void SlabRunner::run_slab(const SlabJob& job, std::size_t t, SlabOut& so,
   // with the aborted task attempt already counted.
   if (first == Rung::kHealthy) so.report.attempts = 0;
   run_ladder(job, t, so, first);
+  // Set only once the ladder has returned: a slab whose walk was cut short
+  // by a throw stays not-done, so run() recovers it instead of dropping it.
+  so.done = true;
   slab_span.arg("rung", static_cast<std::int64_t>(so.report.rung));
   slab_span.arg("attempts", static_cast<std::int64_t>(so.report.attempts));
   slab_span.arg("peak_arena_bytes", so.work.load.peak_arena_bytes);
@@ -168,11 +173,12 @@ geom::PolygonSet SlabRunner::run(const SlabJob& job, Alg2Stats* stats) {
   try {
     group.wait();
   } catch (...) {
-    // A fault fired in the scheduler wrapper itself, or a governance trip
-    // hit its entry checkpoint: TaskGroup aggregated it into one
-    // exception and skipped not-yet-started tasks. Recover every lost
-    // slab here on the calling thread, starting one rung down the ladder
-    // (a governance trip makes each one stop at the ladder gate).
+    // A fault fired in the scheduler wrapper itself, a governance trip
+    // hit its entry checkpoint, or the trace sink threw outside an attempt
+    // (slab span): TaskGroup aggregated it into one exception and skipped
+    // not-yet-started tasks. Recover every lost slab here on the calling
+    // thread, starting one rung down the ladder (a governance trip makes
+    // each one stop at the ladder gate).
     DegradationReport group_rep;
     classify_failure(group_rep);
     group_rep.attempts = 1;  // the task attempt the group aborted

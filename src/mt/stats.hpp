@@ -14,11 +14,11 @@ namespace psclip::mt {
 /// in declaration order; each is strictly more conservative (and slower)
 /// than the one before it.
 enum class Rung : std::uint8_t {
-  /// The configured fast path (fused partition + worker arena) succeeded.
+  /// The fast path (fused partition + worker arena) succeeded.
   kHealthy = 0,
-  /// Retry on safe settings: broadcast partition (slab_clip) or the slab's
-  /// polygons materialized from its id lists (multiset_clip), fresh
-  /// scratch, no arena. Produces bit-identical output to the healthy path —
+  /// Retry on the materializing path: broadcast partition (slab_clip) or
+  /// the slab's polygons materialized from its id lists (multiset_clip),
+  /// fresh scratch, no arena. Produces bit-identical output to the healthy path —
   /// the recovery rung for every transient or state-corruption fault.
   kRetrySafe,
   /// Final rung: the entire request recomputed by the sequential Vatti
@@ -102,11 +102,12 @@ struct SlabLoad {
   /// work the slab's Step 6 really did, not the raw vertex count handed in.
   std::int64_t input_edges = 0;
   std::int64_t output_vertices = 0;
-  /// Input the *partition* step read for this slab. Broadcast partitioning
-  /// scans every vertex of both inputs per slab; the fused partition counts
-  /// the bound edges it appends for the contours the slab overlaps
-  /// (prepared fragments are copied, not re-derived). Deterministic (no
-  /// timing noise), which makes it the CI-gateable ablation metric.
+  /// Input the *partition* step read for this slab. The broadcast partition
+  /// (slab_clip's kRetrySafe rung) scans every vertex of both inputs; the
+  /// fused partition counts the bound edges it appends for the contours the
+  /// slab overlaps (prepared fragments are copied, not re-derived).
+  /// Deterministic (no timing noise), which makes it the CI-gateable
+  /// ablation metric.
   std::int64_t touched_edges = 0;
   /// Nanoseconds this slab spent building bounds (fused: fragment copies +
   /// piece prep inside clip_bounds_to_slab; materializing paths: the

@@ -43,6 +43,13 @@ struct SpanId {
 ///   * `parent` may name a span begun on a *different* thread (a slab span's
 ///     parent is the clip-phase span of the calling thread). A null parent
 ///     means "infer from the calling thread's innermost open span".
+///   * end_span runs from destructors and must not throw. In the slab
+///     engines (mt::slab_clip, mt::multiset_clip) the other entry points
+///     may: a throw inside a slab attempt fails that attempt like any fault
+///     and the slab moves down the degradation ladder (so a sink that
+///     throws on every "healthy" kRung span puts every slab on kRetrySafe);
+///     anywhere else the run recovers the slab it interrupted on
+///     kRetrySafe or fails the request. A throwing sink never drops output.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cassert>
+#include <cmath>
 #include <deque>
 #include <queue>
 #include <set>
@@ -328,7 +329,12 @@ void remove_verticals(PolygonSet& p) {
   for (auto& c : p.contours) {
     const std::size_t n = c.size();
     const geom::BBox cb = geom::bounds(c);
-    const double step = std::max(cb.width(), 1.0) * 1e-9;
+    // Floored at one ULP of the contour's largest |x|: far from the origin
+    // the relative step is below half an ULP, `cur.x += ...` rounds back to
+    // prev.x, and the vertical edge reaches the sweep.
+    const double xmag = std::fmax(std::fabs(cb.xmin), std::fabs(cb.xmax));
+    const double step = std::fmax(std::max(cb.width(), 1.0) * 1e-9,
+                                  std::nextafter(xmag, HUGE_VAL) - xmag);
     for (int pass = 0; pass < 64; ++pass) {
       bool changed = false;
       for (std::size_t i = 1; i <= n; ++i) {

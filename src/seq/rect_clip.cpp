@@ -75,9 +75,9 @@ geom::PolygonSet rect_clip(const geom::PolygonSet& subject,
 }
 
 bool clip_bounds_to_slab(std::span<const SlabContourRef> contours,
-                         const geom::BBox& rect, RectClipMethod method,
-                         bool is_clip, RectClipScratch* scratch,
-                         BoundTable& bt, std::vector<double>& ys,
+                         const geom::BBox& rect, bool is_clip,
+                         RectClipScratch* scratch, BoundTable& bt,
+                         std::vector<double>& ys,
                          std::vector<std::size_t>& run_end,
                          FusedClipStats* stats) {
   assert(!run_end.empty() && run_end.back() == ys.size());
@@ -118,12 +118,13 @@ bool clip_bounds_to_slab(std::span<const SlabContourRef> contours,
   }
 
   // Straddling contours: identical pieces to rect_clip
-  // (same clipper, same straddling set, same kRectClip fault sites), but
+  // (GH, same straddling set, same kRectClip fault sites), but
   // each piece goes straight through the shared per-contour prep into the
   // bound table — never into an intermediate slab polygon set.
   sc.pieces.contours.clear();
   if (!sc.straddling.empty())
-    clip_straddling(sc.straddling, rect, method, sc.pieces);
+    clip_straddling(sc.straddling, rect, RectClipMethod::kGreinerHormann,
+                    sc.pieces);
   if (par::fault::corrupt(par::fault::Site::kFusedBounds)) {
     const double nan = std::numeric_limits<double>::quiet_NaN();
     sc.pieces.add({{nan, nan}, {0.0, 0.0}, {1.0, 1.0}});

@@ -10,10 +10,11 @@
 
 namespace psclip::seq {
 
-/// Method used for the rectangle-clipping steps of Algorithm 2 (the paper
-/// evaluates Greiner–Hormann against GPC for this job and picks GH as the
-/// faster option; we expose the same choice plus the baselines so it can
-/// be ablated).
+/// Clipper for rect_clip. The paper evaluates Greiner–Hormann against GPC
+/// for the rectangle-clipping steps of Algorithm 2 and picks GH as the
+/// faster option; mt::slab_clip always uses GH, and the baselines stay
+/// selectable here for bench_ablation_rectclip and general viewport
+/// clipping.
 enum class RectClipMethod {
   kGreinerHormann,     ///< the paper's choice for Steps 4–5
   kVatti,              ///< general clipper on a rectangle (GPC's role)
@@ -61,7 +62,7 @@ struct FusedClipStats {
   std::int64_t boundary_edges = 0;
 };
 
-/// Fused partition path (Alg2Partition::kFused): rect-clip *bounds, not
+/// Fused partition path of mt::slab_clip: rect-clip *bounds, not
 /// contours*. For one input (subject or clip) of one slab, append directly
 /// to `bt`:
 ///
@@ -71,10 +72,11 @@ struct FusedClipStats {
 ///    bound re-derivation. `prepared` may be null (degenerate after
 ///    prep: contributes nothing, exactly as the set pipeline drops it).
 ///  - boundary-straddling contours: `original` runs through the
-///    selected rectangle clipper (byte-identical pieces to rect_clip, same
-///    kRectClip fault sites), and each piece is prepared and appended —
-///    after every inside fragment, the order in which the materializing
-///    path's rect_clip output reaches the set pipeline.
+///    Greiner–Hormann rectangle clipper (byte-identical pieces to rect_clip
+///    with its default method, same kRectClip fault sites), and each piece
+///    is prepared and appended — after every inside fragment, the order in
+///    which the materializing path's rect_clip output reaches the set
+///    pipeline.
 ///
 /// The per-slab scanbeam schedule is assembled as sorted runs in
 /// `ys`/`run_end` (see merge_sorted_runs_unique): one run per piece, plus
@@ -89,9 +91,9 @@ struct FusedClipStats {
 /// fault-injection site on entry; the corruption hook poisons the piece
 /// set, which surfaces through the same false return.
 bool clip_bounds_to_slab(std::span<const SlabContourRef> contours,
-                         const geom::BBox& rect, RectClipMethod method,
-                         bool is_clip, RectClipScratch* scratch,
-                         BoundTable& bt, std::vector<double>& ys,
+                         const geom::BBox& rect, bool is_clip,
+                         RectClipScratch* scratch, BoundTable& bt,
+                         std::vector<double>& ys,
                          std::vector<std::size_t>& run_end,
                          FusedClipStats* stats = nullptr);
 

@@ -85,9 +85,6 @@ TEST_P(CrossEngineFuzz, EnginesAgree) {
   static par::ThreadPool pool2(2);
   mt::Alg2Options o;
   o.slabs = 6;  // fixed => identical slab boundaries on both pools
-  // Self-intersecting inputs need the Vatti rectangle clipper (GH, the
-  // default, requires simple contours — the paper's own caveat).
-  o.rect_method = seq::RectClipMethod::kVatti;
   const PolygonSet out4 = mt::slab_clip(in.a, in.b, c.op, pool4, o);
   const PolygonSet out2 = mt::slab_clip(in.a, in.b, c.op, pool2, o);
   const double a2 = geom::signed_area(out4);
@@ -96,13 +93,17 @@ TEST_P(CrossEngineFuzz, EnginesAgree) {
   EXPECT_EQ(canonical_vertices(out4), canonical_vertices(out2))
       << "slab_clip output depends on scheduling";
 
-  // The fused partition (kFused, the default above) must be a pure work
-  // optimization: against the O(p·n) broadcast partition it has
-  // to produce the same contours in the same order with the same bits —
-  // not just the same area.
+  // The fused partition (the healthy rung above) must be a pure work
+  // optimization: against the O(p·n) broadcast partition, which the
+  // kRetrySafe rung runs, it has to produce the same contours in the same
+  // order with the same bits — not just the same area. ForceRetrySink
+  // fails every healthy attempt, so every slab of the second run retries.
+  test::ForceRetrySink force_retry;
   mt::Alg2Options ob = o;
-  ob.partition = mt::Alg2Partition::kBroadcast;
-  const PolygonSet outb = mt::slab_clip(in.a, in.b, c.op, pool4, ob);
+  ob.trace_sink = &force_retry;
+  mt::Alg2Stats sb;
+  const PolygonSet outb = mt::slab_clip(in.a, in.b, c.op, pool4, ob, &sb);
+  ASSERT_TRUE(test::all_slabs_retried(sb));
   ASSERT_EQ(out4.num_contours(), outb.num_contours())
       << "fused vs broadcast contour count";
   for (std::size_t i = 0; i < out4.contours.size(); ++i) {

@@ -58,8 +58,6 @@ TEST_P(FaultFuzz, SingleShotFaultIsInvisible) {
   static par::ThreadPool pool(4);
   mt::Alg2Options o;
   o.slabs = kSlabs;
-  // Self-intersecting corpus shapes need the Vatti rectangle clipper.
-  o.rect_method = seq::RectClipMethod::kVatti;
 
   par::fault::disarm();
   const PolygonSet want = mt::slab_clip(in.a, in.b, c.op, pool, o);
@@ -170,7 +168,6 @@ TEST_P(GovernanceFaultFuzz, StallWithoutDeadlineIsInvisible) {
   static par::ThreadPool pool(4);
   mt::Alg2Options o;
   o.slabs = kSlabs;
-  o.rect_method = seq::RectClipMethod::kVatti;
 
   par::fault::disarm();
   const PolygonSet want = mt::slab_clip(in.a, in.b, c.op, pool, o);
@@ -205,7 +202,6 @@ TEST_P(GovernanceFaultFuzz, HogUnderBudgetRecoversByteIdentical) {
   static par::ThreadPool pool(4);
   mt::Alg2Options o;
   o.slabs = kSlabs;
-  o.rect_method = seq::RectClipMethod::kVatti;
 
   par::fault::disarm();
   const PolygonSet want = mt::slab_clip(in.a, in.b, c.op, pool, o);

@@ -1,8 +1,9 @@
 // Clipping far from the origin. Every slab cut and every axis-aligned input
 // makes horizontal edges, and geom::remove_horizontals must still nudge
 // them apart when one ULP of y is larger than the relative nudge quantum
-// (|y| above ~4.5e6). When the nudge rounded away, these clips returned an
-// empty or negative-area result with no degradation recorded.
+// (|y| above ~4.5e6); seq::martinez_clip, which sweeps along x, nudges
+// vertical edges the same way. When the nudge rounded away, these clips
+// returned an empty or negative-area result with no degradation recorded.
 //
 // Areas are measured after translating the output back to the origin: at
 // 1e10 the shoelace sum over raw coordinates cancels catastrophically.
@@ -13,9 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "data/synthetic.hpp"
 #include "mt/algorithm2.hpp"
 #include "psclip.hpp"
+#include "seq/martinez.hpp"
 #include "seq/vatti.hpp"
 #include "test_support.hpp"
 
@@ -54,6 +58,28 @@ TEST(LargeMagnitude, OffsetSquaresIntersect) {
           clip(translated(a, d), translated(b, d), BoolOp::kIntersection, e);
       EXPECT_TRUE(test::areas_match(area_at_origin(got, d), 2500.0, kRelTol))
           << "offset " << d << " engine " << static_cast<int>(e) << ": "
+          << got.num_contours() << " contours, area "
+          << area_at_origin(got, d);
+    }
+}
+
+// seq::martinez_clip perturbs vertical edges along x; its step needs the
+// same one-ULP floor (it returned 0 contours for the 1e10 intersection).
+TEST(LargeMagnitude, MartinezOffsetSquaresAllOps) {
+  const PolygonSet a =
+      geom::make_polygon({{0, 0}, {100, 0}, {100, 100}, {0, 100}});
+  const PolygonSet b =
+      geom::make_polygon({{50, 50}, {150, 50}, {150, 150}, {50, 150}});
+  const std::pair<BoolOp, double> cases[] = {{BoolOp::kIntersection, 2500.0},
+                                             {BoolOp::kUnion, 17500.0},
+                                             {BoolOp::kDifference, 7500.0},
+                                             {BoolOp::kXor, 15000.0}};
+  for (const double d : {1e10, 1e11, 1e12})
+    for (const auto& [op, want] : cases) {
+      const PolygonSet got =
+          seq::martinez_clip(translated(a, d), translated(b, d), op);
+      EXPECT_TRUE(test::areas_match(area_at_origin(got, d), want, kRelTol))
+          << "offset " << d << " op " << geom::to_string(op) << ": "
           << got.num_contours() << " contours, area "
           << area_at_origin(got, d);
     }

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 
+#include "fuzz_cases.hpp"
 #include "geom/area_oracle.hpp"
 #include "seq/vatti.hpp"
 #include "test_support.hpp"
@@ -40,49 +41,45 @@ struct A2Case {
   int n1, n2;
   unsigned slabs;
   bool sx;
-  seq::RectClipMethod method;
+  unsigned threads;  ///< pool size: the output must not depend on it
 };
 
 class Algorithm2Differential : public ::testing::TestWithParam<A2Case> {};
 
 TEST_P(Algorithm2Differential, MatchesOracle) {
-  par::ThreadPool pool(4);
   const A2Case c = GetParam();
+  par::ThreadPool pool(c.threads);
   const PolygonSet a =
       test::random_polygon(c.seed * 2 + 1, c.n1, 0, 0, 10, c.sx);
   const PolygonSet b =
       test::random_polygon(c.seed * 2 + 2, c.n2, 1, -1, 8, false);
   Alg2Options o;
   o.slabs = c.slabs;
-  o.rect_method = c.method;
   for (const BoolOp op : geom::kAllOps) {
     Alg2Stats st;
     const double got = geom::signed_area(slab_clip(a, b, op, pool, o, &st));
     const double want = geom::boolean_area_oracle(a, b, op);
     EXPECT_TRUE(test::areas_match(got, want, 1e-5))
         << geom::to_string(op) << " slabs=" << c.slabs
-        << " method=" << seq::to_string(c.method) << " got=" << got
-        << " want=" << want;
+        << " threads=" << c.threads << " got=" << got << " want=" << want;
   }
 }
 
 std::vector<A2Case> make_cases() {
   std::vector<A2Case> cases;
   std::uint64_t seed = 3000;
-  const seq::RectClipMethod methods[] = {seq::RectClipMethod::kGreinerHormann,
-                                         seq::RectClipMethod::kVatti,
-                                         seq::RectClipMethod::kSutherlandHodgman};
+  const unsigned threads[] = {4, 2, 1};
   for (int rep = 0; rep < 12; ++rep) {
-    A2Case c;
+    A2Case c{};  // zeroed padding: gtest prints the bytes in the test name
     c.seed = seed++;
     c.n1 = 8 + rep * 4;
     c.n2 = 6 + rep * 3;
     c.slabs = 1 + static_cast<unsigned>(rep % 7);
-    // Self-intersecting subjects only with the Vatti rectangle clipper —
-    // GH and SH do not support them (that limitation is the paper's very
-    // motivation for Vatti).
-    c.method = methods[rep % 3];
-    c.sx = rep % 4 == 0 && c.method == seq::RectClipMethod::kVatti;
+    // Self-intersecting subjects too: the straddlers' Greiner–Hormann
+    // rectangle clip handles them, because every slab cut lies strictly
+    // between vertex ordinates (no vertex on the clip boundary).
+    c.sx = rep % 4 == 0;
+    c.threads = threads[rep % 3];
     cases.push_back(c);
   }
   return cases;
@@ -92,23 +89,22 @@ INSTANTIATE_TEST_SUITE_P(Random, Algorithm2Differential,
                          ::testing::ValuesIn(make_cases()));
 
 TEST(Algorithm2, OversubscribeSweepMatchesSequentialVatti) {
-  // The adaptive over-partitioning factor changes the slab count and the
-  // scheduling, never the clipped region: every setting must reproduce the
-  // sequential Vatti reference.
+  // Over-partitioning (c slabs per pool thread, stolen by idle workers)
+  // changes the slab count and the scheduling, never the clipped region:
+  // every setting must reproduce the sequential Vatti reference.
   par::ThreadPool pool(4);
   const PolygonSet a = test::random_polygon(911, 40, 0, 0, 10);
   const PolygonSet b = test::random_polygon(912, 34, 1, -1, 9);
   for (unsigned c : {1u, 2u, 4u, 8u}) {
     Alg2Options o;
-    o.slabs = 0;  // derive: oversubscribe × pool.size()
-    o.oversubscribe = c;
+    o.slabs = c * pool.size();
     for (const BoolOp op : geom::kAllOps) {
       const double want = geom::signed_area(seq::vatti_clip(a, b, op));
       Alg2Stats st;
       const double got =
           geom::signed_area(slab_clip(a, b, op, pool, o, &st));
       EXPECT_TRUE(test::areas_match(got, want, 1e-5))
-          << geom::to_string(op) << " oversubscribe=" << c << " got=" << got
+          << geom::to_string(op) << " slabs=" << o.slabs << " got=" << got
           << " want=" << want;
       EXPECT_LE(st.slabs.size(), static_cast<std::size_t>(c) * pool.size());
       EXPECT_EQ(st.workers.size(), pool.size() + 1u);
@@ -117,6 +113,14 @@ TEST(Algorithm2, OversubscribeSweepMatchesSequentialVatti) {
       EXPECT_EQ(jobs, st.slabs.size());
     }
   }
+  // slabs = 0 derives four slabs per pool thread.
+  Alg2Options dflt, four;
+  four.slabs = 4 * pool.size();
+  Alg2Stats sd, s4;
+  const PolygonSet rd = slab_clip(a, b, BoolOp::kUnion, pool, dflt, &sd);
+  const PolygonSet r4 = slab_clip(a, b, BoolOp::kUnion, pool, four, &s4);
+  EXPECT_EQ(sd.slabs.size(), s4.slabs.size());
+  EXPECT_EQ(fuzz::canonical_vertices(rd), fuzz::canonical_vertices(r4));
 }
 
 TEST(Algorithm2, OversubscribedOutputIsScheduleInvariant) {
@@ -223,6 +227,57 @@ TEST(Algorithm2, EmptyInputResetsReusedStats) {
   EXPECT_TRUE(st.degradation.empty());
   EXPECT_TRUE(st.workers.empty());
   EXPECT_FALSE(st.partial.partial);
+}
+
+// Regression: a slab cut used to round onto a vertex when two ordinates are
+// one ULP apart (this blob has vertices at y = 10 and 10.000000000000002),
+// and Greiner–Hormann then clipped a straddler whose vertex lies on the
+// slab rectangle: area 5.05 instead of 9.52 at 6 slabs.
+TEST(Algorithm2, CutBetweenOneUlpNeighboursMatchesOracle) {
+  const fuzz::FuzzCase c{424260, fuzz::Shape::kFieldVsBlob,
+                         fuzz::Degenerate::kNone, BoolOp::kIntersection};
+  const fuzz::Inputs in = fuzz::make_inputs(c);
+  par::ThreadPool pool(4);
+  Alg2Options o;
+  o.slabs = 6;
+  Alg2Stats st;
+  const double got =
+      geom::signed_area(slab_clip(in.a, in.b, c.op, pool, o, &st));
+  const double want = geom::boolean_area_oracle(in.a, in.b, c.op);
+  EXPECT_TRUE(test::areas_match(got, want, 1e-5))
+      << c.repro() << " got=" << got << " want=" << want;
+  EXPECT_EQ(st.degraded_slabs(), 0);
+}
+
+// Regression: the rung span used to open outside the attempt's guard, after
+// the slab was already marked done, so a sink throwing there lost the slab's
+// output without an error. The throw must fail that one attempt and the
+// slab must be retried.
+TEST(Algorithm2, ThrowingTraceSinkNeverDropsASlab) {
+  par::ThreadPool pool(4);
+  const PolygonSet a = test::random_polygon(11, 200, 0, 0, 10);
+  const PolygonSet b = test::random_polygon(12, 150, 1, -1, 9);
+  Alg2Options o;
+  o.slabs = 6;
+  const PolygonSet want = slab_clip(a, b, BoolOp::kUnion, pool, o);
+  test::ForceRetrySink sink(/*limit=*/1);
+  o.trace_sink = &sink;
+  Alg2Stats st;
+  const PolygonSet got = slab_clip(a, b, BoolOp::kUnion, pool, o, &st);
+  EXPECT_TRUE(test::areas_match(geom::signed_area(got),
+                                geom::boolean_area_oracle(a, b, BoolOp::kUnion),
+                                1e-5));
+  EXPECT_EQ(fuzz::canonical_vertices(got), fuzz::canonical_vertices(want));
+  ASSERT_EQ(st.degradation.size(), 6u);
+  int retried = 0;
+  for (const auto& rep : st.degradation) {
+    if (rep.rung == Rung::kHealthy) continue;
+    ++retried;
+    EXPECT_EQ(rep.rung, Rung::kRetrySafe);
+    EXPECT_EQ(rep.attempts, 2u);
+    EXPECT_EQ(rep.message, "ForceRetrySink: healthy rung refused");
+  }
+  EXPECT_EQ(retried, 1);
 }
 
 }  // namespace

@@ -157,7 +157,6 @@ TEST_P(SlabFaultMatrix, SingleSlabFaultIsIsolated) {
   par::ThreadPool pool(4);
   mt::Alg2Options o;
   o.slabs = 4;
-  o.rect_method = seq::RectClipMethod::kVatti;
 
   par::fault::disarm();
   mt::Alg2Stats base_stats;
@@ -236,7 +235,6 @@ TEST(SlabFaultInjection, TaskGroupFaultRecoversOnCaller) {
   par::ThreadPool pool(4);
   mt::Alg2Options o;
   o.slabs = 4;
-  o.rect_method = seq::RectClipMethod::kVatti;
 
   par::fault::disarm();
   const PolygonSet want =
@@ -274,7 +272,6 @@ TEST(SlabFaultInjection, UnboundedAnyKeyFaultPropagates) {
   par::ThreadPool pool(4);
   mt::Alg2Options o;
   o.slabs = 4;
-  o.rect_method = seq::RectClipMethod::kVatti;
 
   Plan p;
   p.site = Site::kVattiSweep;

@@ -1,15 +1,20 @@
 // Byte-identity contract for the fused slab partition.
 //
-// Alg2Partition::kFused (the default) assembles each slab's Vatti bound
-// table directly from globally prepared contour fragments and slices the
+// slab_clip's healthy rung assembles each slab's Vatti bound table
+// directly from globally prepared contour fragments and slices the
 // scanbeam schedule from one shared merged y-list, instead of
 // materializing rectangle-clipped slab polygons and re-deriving the sweep
 // structures per slab. That is only a legal optimization if it is
-// *invisible*: against the materializing kBroadcast path it must
-// produce the same contours in the same order with the same bits — not
-// just the same area — on every corpus case, for both sweep kernels, at
-// one slab and many. The multiset clipper's fused fragment concatenation
-// carries the same contract against its copy-then-rederive baseline.
+// *invisible*: against the materializing broadcast path, which the
+// kRetrySafe rung runs, it must produce the same contours in the same
+// order with the same bits — not just the same area — on every corpus
+// case, for both sweep kernels, at one slab and many. The multiset
+// clipper's fused fragment concatenation carries the same contract against
+// its copy-then-rederive retry path.
+//
+// The retry path is reached the way production reaches it, through a slab
+// failure: test::ForceRetrySink fails every healthy attempt, so every slab
+// runs kRetrySafe on fresh scratch.
 //
 // The corpus is the shared 216-case fuzz generator (tests/fuzz_cases.hpp);
 // on top of it, handcrafted boundary-degeneracy cases exercise exactly the
@@ -30,6 +35,7 @@
 #include "mt/algorithm2.hpp"
 #include "mt/multiset.hpp"
 #include "parallel/thread_pool.hpp"
+#include "test_support.hpp"
 
 namespace psclip {
 namespace {
@@ -57,36 +63,60 @@ void expect_identical(const PolygonSet& got, const PolygonSet& want,
   }
 }
 
-/// fused == broadcast, bit for bit, at the given slab count and
-/// kernel. One slab exercises the "whole input is one slab" degenerate
-/// decomposition (everything is well-contained, the shared-schedule slice
-/// is the whole schedule); many slabs exercise straddling-piece prep.
+/// fused == broadcast (healthy == forced retry), bit for bit, at the given
+/// slab count and kernel. One slab exercises the "whole input is one slab"
+/// degenerate decomposition (everything is well-contained, the
+/// shared-schedule slice is the whole schedule); many slabs exercise
+/// straddling-piece prep.
 void check_slab_identity(const PolygonSet& a, const PolygonSet& b, BoolOp op,
                          par::ThreadPool& pool, unsigned slabs,
                          seq::SweepKernel kernel, const std::string& what) {
   mt::Alg2Options of;
   of.slabs = slabs;
-  of.partition = mt::Alg2Partition::kFused;
-  of.rect_method = seq::RectClipMethod::kVatti;  // corpus has self-crossings
   of.sweep_kernel = kernel;
+  test::ForceRetrySink force_retry;
   mt::Alg2Options ob = of;
-  ob.partition = mt::Alg2Partition::kBroadcast;
+  ob.trace_sink = &force_retry;
 
-  mt::Alg2Stats sf;
+  mt::Alg2Stats sf, sb;
   const PolygonSet rf = mt::slab_clip(a, b, op, pool, of, &sf);
-  const PolygonSet rb = mt::slab_clip(a, b, op, pool, ob);
+  const PolygonSet rb = mt::slab_clip(a, b, op, pool, ob, &sb);
   expect_identical(rf, rb, what + " fused-vs-broadcast");
 
-  // The fused run must stay on the healthy rung — falling back to the
-  // materializing ladder would make this test vacuous.
+  // The fused run must stay on the healthy rung and the forced run must
+  // retry every slab — either falling elsewhere would make this vacuous.
   for (const auto& rep : sf.degradation)
     ASSERT_EQ(rep.rung, mt::Rung::kHealthy) << what << ": " << rep.message;
+  ASSERT_TRUE(test::all_slabs_retried(sb)) << what;
+}
+
+/// The multiset counterpart: fused fragment concatenation (healthy) ==
+/// materialized slab polygons through vatti_clip (forced retry).
+void check_multiset_identity(const PolygonSet& a, const PolygonSet& b,
+                             BoolOp op, par::ThreadPool& pool, unsigned slabs,
+                             seq::SweepKernel kernel,
+                             const std::string& what) {
+  mt::MultisetOptions of;
+  of.slabs = slabs;
+  of.sweep_kernel = kernel;
+  test::ForceRetrySink force_retry;
+  mt::MultisetOptions om = of;
+  om.trace_sink = &force_retry;
+
+  mt::Alg2Stats sf, sm;
+  const PolygonSet rf = mt::multiset_clip(a, b, op, pool, of, &sf);
+  const PolygonSet rm = mt::multiset_clip(a, b, op, pool, om, &sm);
+  expect_identical(rf, rm, what + " multiset fused-vs-materializing");
+  for (const auto& rep : sf.degradation)
+    ASSERT_EQ(rep.rung, mt::Rung::kHealthy) << what << ": " << rep.message;
+  ASSERT_TRUE(test::all_slabs_retried(sm)) << what;
 }
 
 class FusedPartitionFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
 // The test name predates the removal of the indexed partition; the
-// materializing reference is now the broadcast path.
+// materializing reference is now the broadcast path of the forced retry.
+// Both engines, at one slab and six.
 TEST_P(FusedPartitionFuzz, FusedMatchesIndexedBitForBit) {
   const FuzzCase c = GetParam();
   SCOPED_TRACE("repro: " + c.repro());
@@ -97,10 +127,11 @@ TEST_P(FusedPartitionFuzz, FusedMatchesIndexedBitForBit) {
        {seq::SweepKernel::kTuned, seq::SweepKernel::kReference}) {
     const std::string kn =
         kernel == seq::SweepKernel::kTuned ? "tuned" : "reference";
-    check_slab_identity(in.a, in.b, c.op, pool, /*slabs=*/1, kernel,
-                        kn + " slabs=1");
-    check_slab_identity(in.a, in.b, c.op, pool, /*slabs=*/6, kernel,
-                        kn + " slabs=6");
+    for (const unsigned slabs : {1u, 6u}) {
+      const std::string what = kn + " slabs=" + std::to_string(slabs);
+      check_slab_identity(in.a, in.b, c.op, pool, slabs, kernel, what);
+      check_multiset_identity(in.a, in.b, c.op, pool, slabs, kernel, what);
+    }
   }
 }
 
@@ -168,21 +199,9 @@ TEST(FusedMultiset, FusedMatchesMaterializingBitForBit) {
   par::ThreadPool pool(4);
   for (const BoolOp op : geom::kAllOps) {
     for (const seq::SweepKernel kernel :
-         {seq::SweepKernel::kTuned, seq::SweepKernel::kReference}) {
-      mt::MultisetOptions of;
-      of.slabs = 4;
-      of.fused = true;
-      of.sweep_kernel = kernel;
-      mt::MultisetOptions om = of;
-      om.fused = false;
-      mt::Alg2Stats sf;
-      const PolygonSet rf = mt::multiset_clip(a, b, op, pool, of, &sf);
-      const PolygonSet rm = mt::multiset_clip(a, b, op, pool, om);
-      expect_identical(rf, rm,
-                       std::string("multiset op=") + geom::to_string(op));
-      for (const auto& rep : sf.degradation)
-        ASSERT_EQ(rep.rung, mt::Rung::kHealthy) << rep.message;
-    }
+         {seq::SweepKernel::kTuned, seq::SweepKernel::kReference})
+      check_multiset_identity(a, b, op, pool, /*slabs=*/4, kernel,
+                              std::string("op=") + geom::to_string(op));
   }
 }
 
@@ -195,18 +214,12 @@ TEST_P(FusedMultisetFuzz, FusedMatchesMaterializing) {
   SCOPED_TRACE("repro: " + c.repro());
   const Inputs in = make_inputs(c);
   static par::ThreadPool pool(4);
-  mt::MultisetOptions of;
-  of.slabs = 4;
-  of.fused = true;
-  mt::MultisetOptions om = of;
-  om.fused = false;
-  const PolygonSet rf = mt::multiset_clip(in.a, in.b, c.op, pool, of);
-  const PolygonSet rm = mt::multiset_clip(in.a, in.b, c.op, pool, om);
-  expect_identical(rf, rm, "multiset corpus");
+  check_multiset_identity(in.a, in.b, c.op, pool, /*slabs=*/4,
+                          seq::SweepKernel::kTuned, "corpus slabs=4");
 }
 
-// A 36-case slice keeps the multiset lane fast; the full 216 cases run
-// through the slab_clip lane above, which covers the shared prep chain.
+// A 36-case slice at a third slab count; the full 216 cases run both
+// engines at 1 and 6 slabs in the FusedPartitionFuzz lane above.
 INSTANTIATE_TEST_SUITE_P(CorpusSlice, FusedMultisetFuzz,
                          ::testing::ValuesIn([] {
                            auto all = fuzz::make_cases();
@@ -219,17 +232,17 @@ INSTANTIATE_TEST_SUITE_P(CorpusSlice, FusedMultisetFuzz,
 // The output-sensitivity claim itself, in deterministic units: per-slab
 // touched edges under fused must not exceed the broadcast partition's count
 // (fused copies the prepared bound edges of the contours a slab overlaps;
-// broadcast re-reads every input vertex per slab — the bound table never
-// has more edges than vertices).
+// broadcast — the forced-retry run — re-reads every input vertex per slab;
+// the bound table never has more edges than vertices).
 TEST(FusedPartition, TouchedEdgesAreOutputSensitive) {
   const PolygonSet a = data::polygon_field(701, 60, 120.0, 10);
   const PolygonSet b = data::polygon_field(702, 60, 120.0, 9);
   par::ThreadPool pool(4);
   for (const unsigned slabs : {4u, 8u}) {
+    test::ForceRetrySink force_retry;
     mt::Alg2Options of, ob;
     of.slabs = ob.slabs = slabs;
-    of.partition = mt::Alg2Partition::kFused;
-    ob.partition = mt::Alg2Partition::kBroadcast;
+    ob.trace_sink = &force_retry;
     mt::Alg2Stats sf, sb;
     (void)mt::slab_clip(a, b, BoolOp::kUnion, pool, of, &sf);
     (void)mt::slab_clip(a, b, BoolOp::kUnion, pool, ob, &sb);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <random>
 #include <vector>
 
 #include "data/synthetic.hpp"
@@ -52,6 +55,64 @@ void expect_index_equals(const SlabContourIndex& idx,
         EXPECT_LT(got[k - 1].contour, got[k].contour)
             << "slab list not ascending";
     }
+  }
+}
+
+/// Interior boundaries strictly increase, lie strictly inside (lo, hi) and
+/// coincide with no event — the contract both engines place slabs by.
+void expect_cuts_between_events(const std::vector<double>& events, double lo,
+                                double hi, unsigned slabs) {
+  const std::vector<double> bounds = slab_bounds(events, lo, hi, slabs);
+  ASSERT_GE(bounds.size(), 2u);
+  ASSERT_LE(bounds.size(), slabs + 1u);
+  EXPECT_EQ(bounds.front(), lo);
+  EXPECT_EQ(bounds.back(), hi);
+  for (std::size_t i = 1; i < bounds.size(); ++i)
+    ASSERT_LT(bounds[i - 1], bounds[i]) << "slabs=" << slabs << " i=" << i;
+  for (std::size_t i = 1; i + 1 < bounds.size(); ++i)
+    EXPECT_FALSE(std::binary_search(events.begin(), events.end(), bounds[i]))
+        << "slabs=" << slabs << ": cut " << i << " = " << bounds[i]
+        << " lies on an event";
+}
+
+// Two ordinates one ULP apart: their midpoint rounds onto one of them, so
+// the cut must move to the next gap instead of landing on a vertex.
+TEST(SlabBounds, CutSkipsGapBetweenOneUlpNeighbours) {
+  const double y = 10.0;
+  const std::vector<double> events{0.0, 1.0, y, std::nextafter(y, 20.0),
+                                   20.0, 30.0};
+  EXPECT_EQ(slab_bounds(events, -1.0, 31.0, 2),
+            (std::vector<double>{-1.0, 15.0, 31.0}));
+  for (unsigned slabs = 1; slabs <= 8; ++slabs)
+    expect_cuts_between_events(events, -1.0, 31.0, slabs);
+}
+
+// Equal events (shared MBR y-extents in the multiset engine) leave no room
+// either.
+TEST(SlabBounds, CutSkipsRunOfEqualEvents) {
+  const std::vector<double> events{1.0, 2.0, 2.0, 2.0, 3.0};
+  EXPECT_EQ(slab_bounds(events, 0.0, 4.0, 2),
+            (std::vector<double>{0.0, 2.5, 4.0}));
+  for (unsigned slabs = 1; slabs <= 8; ++slabs)
+    expect_cuts_between_events(events, 0.0, 4.0, slabs);
+}
+
+// Random sorted events dense in 1-ULP neighbour pairs, every slab count up
+// to 24.
+TEST(SlabBounds, RandomEventsWithUlpNeighbours) {
+  std::mt19937_64 rng(515);
+  std::uniform_real_distribution<double> u(-50.0, 50.0);
+  for (int rep = 0; rep < 20; ++rep) {
+    std::vector<double> events;
+    for (int i = 0; i < 30; ++i) {
+      const double v = u(rng);
+      events.push_back(v);
+      if (i % 2 == 0) events.push_back(std::nextafter(v, 100.0));
+      if (i % 7 == 0) events.push_back(v);
+    }
+    std::sort(events.begin(), events.end());
+    for (unsigned slabs = 1; slabs <= 24; ++slabs)
+      expect_cuts_between_events(events, -51.0, 51.0, slabs);
   }
 }
 
@@ -176,15 +237,17 @@ TEST(Algorithm2Partition, IndexedMatchesBroadcastBitForBit) {
   const PolygonSet b = data::polygon_field(202, 36, 60.0, 9);
   for (const unsigned slabs : {1u, 4u, 9u, 16u}) {
     for (const BoolOp op : geom::kAllOps) {
-      // The index-driven partition is the fused default.
+      // The index-driven partition is the fused healthy rung; the forced
+      // retry runs the broadcast partition on every slab.
+      test::ForceRetrySink force_retry;
       Alg2Options oi, ob;
       oi.slabs = ob.slabs = slabs;
-      oi.partition = Alg2Partition::kFused;
-      ob.partition = Alg2Partition::kBroadcast;
+      ob.trace_sink = &force_retry;
       Alg2Stats si, sb;
       const PolygonSet ri = slab_clip(a, b, op, pool, oi, &si);
       const PolygonSet rb = slab_clip(a, b, op, pool, ob, &sb);
       expect_identical(ri, rb, geom::to_string(op));
+      ASSERT_TRUE(test::all_slabs_retried(sb));
       // The deterministic partition-work metric: the index must never read
       // more input than the broadcast scan, and strictly less once the
       // field is spread over several slabs.

@@ -79,12 +79,10 @@ TEST_P(VattiKernelFuzz, TunedMatchesReferenceExactly) {
   EXPECT_EQ(st_tuned.sorted_beams, st_ref.sorted_beams);
 
   // Algorithm 2 with the kernel selected through Alg2Options (fixed slab
-  // count => fixed decomposition; Vatti rect clipper since the corpus has
-  // self-intersecting inputs).
+  // count => fixed decomposition).
   static par::ThreadPool pool(4);
   mt::Alg2Options ot;
   ot.slabs = 6;
-  ot.rect_method = seq::RectClipMethod::kVatti;
   ot.sweep_kernel = seq::SweepKernel::kTuned;
   mt::Alg2Options orf = ot;
   orf.sweep_kernel = seq::SweepKernel::kReference;

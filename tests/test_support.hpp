@@ -4,9 +4,12 @@
 // construction (mirroring the paper's synthetic workloads) and the area /
 // point-classification referees used by the differential tests.
 
+#include <atomic>
 #include <cmath>
+#include <cstring>
 #include <locale>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -14,6 +17,8 @@
 #include "geom/point.hpp"
 #include "geom/point_in_polygon.hpp"
 #include "geom/polygon.hpp"
+#include "mt/stats.hpp"
+#include "obs/trace.hpp"
 
 namespace psclip::test {
 
@@ -69,6 +74,46 @@ inline double pip_agreement(const geom::PolygonSet& a,
     if (want == geom::point_in_polygon(p, result)) ++agree;
   }
   return static_cast<double>(agree) / samples;
+}
+
+/// Trace sink that sends every slab of the slab engines (mt::slab_clip,
+/// mt::multiset_clip) to the kRetrySafe rung: begin_span throws on each
+/// kRung span of the healthy rung, which the slab runner opens inside the
+/// attempt's guarded region, so the healthy attempt fails before it starts
+/// and the slab is retried on the materializing path with fresh scratch —
+/// the configuration production runs after a slab fault. Everything else
+/// is a no-op. Install it as the run's `trace_sink`; check the result with
+/// all_slabs_retried. With a non-negative `limit` only the first `limit`
+/// healthy attempts are refused.
+class ForceRetrySink : public obs::TraceSink {
+ public:
+  explicit ForceRetrySink(int limit = -1) : limit_(limit) {}
+
+  obs::SpanId begin_span(const char* name, obs::Cat cat,
+                         obs::SpanId /*parent*/) override {
+    if (cat == obs::Cat::kRung &&
+        std::strcmp(name, mt::to_string(mt::Rung::kHealthy)) == 0 &&
+        (limit_ < 0 || refused_.fetch_add(1) < limit_))
+      throw std::runtime_error("ForceRetrySink: healthy rung refused");
+    return obs::SpanId{1};
+  }
+  void end_span(obs::SpanId /*id*/) override {}
+  void span_arg(obs::SpanId /*id*/, const char* /*key*/,
+                std::int64_t /*value*/) override {}
+  void add_counter(const char* /*name*/, std::int64_t /*delta*/) override {}
+  void observe(const char* /*histogram*/, double /*seconds*/) override {}
+
+ private:
+  const int limit_;
+  std::atomic<int> refused_{0};
+};
+
+/// Every slab of a ForceRetrySink run ended on kRetrySafe after exactly two
+/// attempts (the refused healthy one and the retry).
+inline bool all_slabs_retried(const mt::Alg2Stats& st) {
+  for (const mt::DegradationReport& rep : st.degradation)
+    if (rep.rung != mt::Rung::kRetrySafe || rep.attempts != 2) return false;
+  return !st.degradation.empty();
 }
 
 /// Makes the global C++ locale write numbers as "12.345,5" (digits grouped
