@@ -6,10 +6,11 @@
 // *per-item* work by O(log m) while direct binning pays O(beams spanned).
 //
 // Section 2 — Algorithm 2 Steps 4-5 slab partitioning: the fused partition
-// (a slab-overlap contour index picks each slab's contours, and slabs copy
-// globally prepared bound fragments) versus the paper's broadcast
-// formulation (every slab scans both whole inputs, O(p·n)). The broadcast
-// partition is slab_clip's kRetrySafe path; the broadcast column runs it
+// (a slab-overlap index picks each slab's contours and bounds, and slabs
+// copy or band-cut globally prepared bound fragments) versus the paper's
+// broadcast formulation (every slab scans both whole inputs, O(p·n)). The
+// broadcast partition is slab_clip's kRetrySafe path, which re-prepares
+// every contour of both inputs on fresh scratch; the broadcast column runs it
 // on every slab through test::ForceRetrySink, a trace sink that fails each
 // slab's healthy attempt (so it also pays one refused attempt per slab,
 // which is negligible next to the partition itself). `touched`

@@ -13,10 +13,6 @@ namespace {
 
 using geom::Point;
 
-struct Entry : seq::SweepEntry {
-  double xb = 0.0, xt = 0.0;
-};
-
 double x_on(const seq::BoundEdge& e, double y) {
   if (e.bot.y == y) return e.bot.x;
   if (e.top.y == y) return e.top.x;
@@ -31,75 +27,54 @@ BeamResult process_beam(const seq::BoundTable& bt,
   BeamResult result;
   if (edge_ids.size() < 2) return result;
 
-  auto edge = [&bt](const Entry& en) -> const seq::BoundEdge& {
-    return bt.edges[static_cast<std::size_t>(en.e)];
+  auto edge = [&bt](std::int32_t e) -> const seq::BoundEdge& {
+    return bt.edges[static_cast<std::size_t>(e)];
   };
-  auto res = [op](bool s, bool c) { return geom::in_result(s, c, op); };
 
   // --- Lemma 1: order edges on the lower scanline. ---
-  std::vector<Entry> ents(edge_ids.size());
+  struct Ranked {
+    std::int32_t e;
+    double xb, xt;
+  };
+  std::vector<Ranked> order(edge_ids.size());
   for (std::size_t i = 0; i < edge_ids.size(); ++i) {
-    ents[i].e = edge_ids[i];
-    const auto& be = bt.edges[static_cast<std::size_t>(edge_ids[i])];
-    ents[i].xb = x_on(be, yb);
-    ents[i].xt = x_on(be, yt);
+    const auto& be = edge(edge_ids[i]);
+    order[i] = {edge_ids[i], x_on(be, yb), x_on(be, yt)};
   }
-  std::sort(ents.begin(), ents.end(), [&](const Entry& a, const Entry& b) {
+  std::sort(order.begin(), order.end(), [&](const Ranked& a, const Ranked& b) {
     if (a.xb != b.xb) return a.xb < b.xb;
-    return edge(a).dxdy < edge(b).dxdy;
+    return edge(a.e).dxdy < edge(b.e).dxdy;
   });
-
-  // --- Lemma 2/3: parity prefix classifies contributing spans. ---
-  {
-    bool s = false, c = false;
-    for (auto& en : ents) {
-      en.left_s = s;
-      en.left_c = c;
-      s ^= !edge(en).is_clip;
-      c ^= edge(en).is_clip;
-    }
+  // Sweep status (entries) with x on both scanlines, index-aligned.
+  const std::size_t n = order.size();
+  std::vector<seq::SweepEntry> ents(n);
+  std::vector<double> xb(n), xt(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ents[i].e = order[i].e;
+    xb[i] = order[i].xb;
+    xt[i] = order[i].xt;
   }
 
-  // --- Open partial polygons along the lower scanline: each interior
-  // stretch runs between two consecutive *contributing* edges (edges
-  // across which result membership flips); non-contributing edges inside
-  // an interior stretch are not boundary and own nothing. ---
+  // --- Lemma 2/3: the parity prefix classifies contributing spans, and
+  // partial polygons open along the lower scanline between consecutive
+  // contributing edges (the rule the slab engine's band sweep shares). ---
+  seq::assign_parity(ents, bt);
   seq::OutPolyPool pool;
-  {
-    Entry* open_left = nullptr;
-    for (auto& en : ents) {
-      const bool lhs = res(en.left_s, en.left_c);
-      const bool rhs = res(en.left_s ^ !edge(en).is_clip,
-                           en.left_c ^ edge(en).is_clip);
-      if (lhs == rhs) continue;  // not contributing
-      if (rhs) {
-        open_left = &en;  // interior opens to the right of this edge
-      } else if (open_left != nullptr) {
-        const Point pl{open_left->xb, yb};
-        const Point pr{en.xb, yb};
-        const std::int32_t id =
-            pool.create(pl, /*hole=*/false, open_left->e, en.e);
-        if (!(pr == pl)) pool.extend(id, en.e, pr);
-        open_left->poly = id;
-        en.poly = id;
-        open_left = nullptr;
-      }
-    }
-  }
+  seq::open_scanline(pool, ents, xb, bt, yb, op);
 
   // --- Lemma 4: crossings = inversions between lower and upper orders,
   // reported by the extended-mergesort machinery. ---
   {
     // Rank of each entry in the upper-scanline order.
-    std::vector<std::int32_t> idx(ents.size());
+    std::vector<std::int32_t> idx(n);
     for (std::size_t i = 0; i < idx.size(); ++i)
       idx[i] = static_cast<std::int32_t>(i);
     std::stable_sort(idx.begin(), idx.end(),
                      [&](std::int32_t a, std::int32_t b) {
-                       return ents[static_cast<std::size_t>(a)].xt <
-                              ents[static_cast<std::size_t>(b)].xt;
+                       return xt[static_cast<std::size_t>(a)] <
+                              xt[static_cast<std::size_t>(b)];
                      });
-    std::vector<std::int32_t> rank(ents.size());
+    std::vector<std::int32_t> rank(n);
     for (std::size_t r2 = 0; r2 < idx.size(); ++r2)
       rank[static_cast<std::size_t>(idx[r2])] = static_cast<std::int32_t>(r2);
 
@@ -114,19 +89,29 @@ BeamResult process_beam(const seq::BoundTable& bt,
       std::vector<Ev> events;
       events.reserve(pairs.size());
       for (const auto& [i, j] : pairs) {
-        const auto& eu = edge(ents[static_cast<std::size_t>(i)]);
-        const auto& ev = edge(ents[static_cast<std::size_t>(j)]);
-        events.push_back({ents[static_cast<std::size_t>(i)].e,
-                          ents[static_cast<std::size_t>(j)].e,
-                          geom::line_intersection(eu.bot, eu.top, ev.bot,
-                                                  ev.top)});
+        const std::int32_t eu = ents[static_cast<std::size_t>(i)].e;
+        const std::int32_t ev = ents[static_cast<std::size_t>(j)].e;
+        events.push_back({eu, ev,
+                          geom::line_intersection(edge(eu).bot, edge(eu).top,
+                                                  edge(ev).bot, edge(ev).top)});
       }
       std::stable_sort(events.begin(), events.end(),
                        [](const Ev& a, const Ev& b) { return a.p.y < b.p.y; });
 
       std::unordered_map<std::int32_t, std::size_t> pos;
-      pos.reserve(ents.size() * 2);
-      for (std::size_t i = 0; i < ents.size(); ++i) pos[ents[i].e] = i;
+      pos.reserve(n * 2);
+      for (std::size_t i = 0; i < n; ++i) pos[ents[i].e] = i;
+      auto cross = [&](const Ev& ev) {
+        std::size_t iu = pos[ev.eu];
+        std::size_t iv = pos[ev.ev];
+        if (iu > iv) std::swap(iu, iv);
+        seq::emit_crossing(pool, ents[iu], edge(ents[iu].e).is_clip,
+                           ents[iv], edge(ents[iv].e).is_clip, ev.p, op);
+        std::swap(ents[iu], ents[iv]);
+        std::swap(xt[iu], xt[iv]);
+        pos[ents[iu].e] = iu;
+        pos[ents[iv].e] = iv;
+      };
 
       std::vector<Ev> pending(std::move(events));
       std::vector<Ev> deferred;
@@ -134,15 +119,10 @@ BeamResult process_beam(const seq::BoundTable& bt,
         bool progress = false;
         deferred.clear();
         for (const Ev& ev : pending) {
-          std::size_t iu = pos[ev.eu];
-          std::size_t iv = pos[ev.ev];
-          if (iu > iv) std::swap(iu, iv);
-          if (iu + 1 == iv) {
-            seq::emit_crossing(pool, ents[iu], edge(ents[iu]).is_clip,
-                               ents[iv], edge(ents[iv]).is_clip, ev.p, op);
-            std::swap(ents[iu], ents[iv]);
-            pos[ents[iu].e] = iu;
-            pos[ents[iv].e] = iv;
+          const std::size_t iu = pos[ev.eu];
+          const std::size_t iv = pos[ev.ev];
+          if (std::max(iu, iv) == std::min(iu, iv) + 1) {
+            cross(ev);
             progress = true;
           } else {
             deferred.push_back(ev);
@@ -155,21 +135,8 @@ BeamResult process_beam(const seq::BoundTable& bt,
           // the parity flags wholesale, so partial contours stay attached
           // and close.
           for (const Ev& ev : pending) {
-            std::size_t iu = pos[ev.eu];
-            std::size_t iv = pos[ev.ev];
-            if (iu > iv) std::swap(iu, iv);
-            seq::emit_crossing(pool, ents[iu], edge(ents[iu]).is_clip,
-                               ents[iv], edge(ents[iv]).is_clip, ev.p, op);
-            std::swap(ents[iu], ents[iv]);
-            pos[ents[iu].e] = iu;
-            pos[ents[iv].e] = iv;
-            bool s = false, c = false;
-            for (auto& en : ents) {
-              en.left_s = s;
-              en.left_c = c;
-              s ^= !edge(en).is_clip;
-              c ^= edge(en).is_clip;
-            }
+            cross(ev);
+            seq::assign_parity(ents, bt);
           }
           break;
         }
@@ -179,26 +146,7 @@ BeamResult process_beam(const seq::BoundTable& bt,
 
   // --- Close partial polygons along the upper scanline, again pairing
   // consecutive contributing edges. ---
-  {
-    Entry* open_left = nullptr;
-    for (auto& en : ents) {
-      const bool lhs = res(en.left_s, en.left_c);
-      const bool rhs = res(en.left_s ^ !edge(en).is_clip,
-                           en.left_c ^ edge(en).is_clip);
-      if (lhs == rhs) continue;
-      if (rhs) {
-        open_left = &en;
-      } else if (open_left != nullptr) {
-        Entry& l = *open_left;
-        open_left = nullptr;
-        if (l.poly < 0 || en.poly < 0) continue;  // degenerate-tie fallback
-        const Point pl{l.xt, yt};
-        const Point pr{en.xt, yt};
-        if (!(pl == pr)) pool.extend(l.poly, l.e, pl);
-        pool.close(l.poly, l.e, en.poly, en.e, pr);
-      }
-    }
-  }
+  seq::close_scanline(pool, ents, xt, bt, yt, op);
 
   // --- Harvest rings. The pool orients material rings counter-clockwise
   // and holes clockwise. Holes arise when an exterior pocket opens at a

@@ -24,7 +24,8 @@ struct Alg2Options {
   /// busy ones; the paper's static one-slab-per-thread decomposition
   /// (`slabs = pool.size()`) leaves workers idle while the heaviest slab
   /// finishes (Fig. 11), and four slabs per thread trade a little extra
-  /// rectangle clipping for a much tighter per-worker load distribution.
+  /// per-slab fixed cost (cut edges, band scanlines) for a much tighter
+  /// per-worker load distribution.
   /// The slab decomposition — and therefore the output — depends only on
   /// the slab count, never on scheduling order.
   unsigned slabs = 0;
@@ -76,27 +77,31 @@ struct Alg2Options {
 /// multi-contour inputs):
 ///
 ///   1–2  collect and sort the distinct vertex ordinates,
-///   3    compute the minimum bounding rectangle of A ∪ B,
-///   4–5  cut both inputs into p horizontal slabs with (nearly) equal
-///        event-point counts; slab boundaries are placed *between*
-///        adjacent event ordinates so no vertex lies on a boundary, and
-///        rectangle-clip the contours that straddle a boundary with
-///        Greiner–Hormann (the paper's choice over GPC for this step),
-///   6    clip each slab pair with the sequential Vatti clipper
-///        (our GPC stand-in), all slabs in parallel,
+///   3–4  cut the plane into p horizontal slabs with (nearly) equal
+///        event-point counts; cuts are placed *between* adjacent event
+///        ordinates so no input vertex lies on one, and the outer two
+///        slabs are open-ended (the paper's MBR),
+///   5    partition both inputs into the slabs. The paper rect-clips the
+///        contours that straddle a cut with Greiner–Hormann; here every
+///        prepared Vatti bound, being y-monotone, is cut to the slab's band
+///        with two binary searches, its end edges ending in virtual
+///        vertices on the cut lines (seq/band.hpp, DESIGN.md §3),
+///   6    sweep each slab's open band with the sequential Vatti clipper
+///        (our GPC stand-in), all slabs in parallel: the band's bottom and
+///        top are its first and last scanlines, so no rectangle edges,
 ///   8    concatenate the per-slab outputs (the paper's sequential merge:
 ///        pieces have disjoint interiors, so concatenation is the even-odd
-///        union; contours crossing slab boundaries remain split, exactly
-///        as in the paper).
+///        union; contours crossing slab cuts remain split, exactly as in
+///        the paper).
 ///
-/// Steps 4–5 run fused (DESIGN.md §10): every contour is prepared once
-/// globally, a slab-overlap contour index gives each slab its contours, and
-/// the slab's bound table is assembled from their prepared fragments, with
-/// straddlers rectangle-clipped at the bound level. A failed slab is retried
-/// once on fresh scratch through the materializing path — the paper's
-/// broadcast partition (seq::rect_clip of both whole inputs, then
-/// seq::vatti_clip), byte-identical to the fused one — then the whole
-/// request falls back to sequential Vatti (see mt::Rung,
+/// Partition work is O(b·log n + edges in the band) per slab, where b is
+/// the number of bounds meeting it — O(n + k') over all slabs instead of
+/// the O(n·p) of rect-clipping every straddling contour in every slab.
+/// Every contour is prepared once globally, and a slab-overlap index over
+/// prepared boxes gives each slab its contours (DESIGN.md §10). A failed
+/// slab is retried once on fresh scratch, re-preparing the contours without
+/// the setup's shared state — byte-identical to the healthy rung — then
+/// the whole request falls back to sequential Vatti (see mt::Rung,
 /// Alg2Stats::degradation).
 geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
                            const geom::PolygonSet& clip, geom::BoolOp op,

@@ -5,31 +5,29 @@
 #include <type_traits>
 #include <vector>
 
-#include "geom/polygon.hpp"
-#include "seq/rect_clip.hpp"
+#include "seq/band.hpp"
 #include "seq/vatti.hpp"
 
 namespace psclip::mt {
 
 /// Reusable scratch owned by one executing thread, handed out by
 /// worker_arena(). A healthy slab attempt borrows the arena for its whole
-/// run — rect-clip partition buffers, the Vatti sweep scratch (bound table,
+/// run — the Vatti sweep scratch (bound table,
 /// scanbeam list, the SoA active edge table with its beam-bottom/beam-top
 /// x arrays and flat edge-id position index, output pool, per-beam
-/// intersection buffers, minima staging + merge buffers) and the fused
-/// partition's contour-ref list. Because slab tasks on one thread run
+/// intersection buffers, minima staging + merge buffers) and the band
+/// builder's contour list. Because slab tasks on one thread run
 /// strictly one after another, nothing here needs synchronization; buffers
 /// are cleared (capacity retained) at each use site rather than
 /// reallocated, so a worker that clips many slabs touches the allocator
 /// only while its high-water marks are still growing.
 struct SlabArena {
-  seq::VattiScratch vatti;      ///< sweep-structure pools for the fused sweep
-  seq::RectClipScratch rect;    ///< straddling-contour buffer for rect clips
-  /// Fused-partition staging: the slab's overlap list in index order, as
-  /// seq::clip_bounds_to_slab reads it.
-  std::vector<seq::SlabContourRef> refs;
-  /// Schedule-run boundaries for the fused path's merge_sorted_runs_unique
-  /// over the scratch schedule (scratch_schedule(vatti)).
+  seq::VattiScratch vatti;  ///< bound table, schedule and sweep pools
+  /// The slab's band-builder units in overlap-list order, as
+  /// seq::build_band reads them.
+  std::vector<seq::BandRef> refs;
+  /// Schedule-run boundaries for merge_sorted_runs_unique over the scratch
+  /// schedule (scratch_schedule(vatti)).
   std::vector<std::size_t> run_end;
 
   /// Approximate bytes resident in this arena (capacity-based, like
@@ -40,16 +38,7 @@ struct SlabArena {
       return v.capacity() *
              sizeof(typename std::decay_t<decltype(v)>::value_type);
     };
-    auto set_bytes = [&](const geom::PolygonSet& s) {
-      std::size_t b = vec(s.contours);
-      for (const auto& c : s.contours) b += vec(c.pts);
-      return b;
-    };
-    return vatti.resident_bytes() + vec(refs) + vec(run_end) +
-           set_bytes(rect.straddling) +
-           set_bytes(rect.pieces) + vec(rect.piece_prep.pts.pts) +
-           vec(rect.piece_prep.bt.edges) + vec(rect.piece_prep.bt.minima) +
-           vec(rect.piece_prep.ys);
+    return vatti.resident_bytes() + vec(refs) + vec(run_end);
   }
 };
 

@@ -12,8 +12,8 @@
 #include "obs/trace.hpp"
 #include "parallel/sort.hpp"
 #include "parallel/timing.hpp"
+#include "seq/band.hpp"
 #include "seq/bounds.hpp"
-#include "seq/rect_clip.hpp"
 #include "seq/vatti.hpp"
 
 namespace psclip::mt {
@@ -272,14 +272,14 @@ geom::PolygonSet multiset_clip(const geom::PolygonSet& subject,
   // One attempt at one slab. The slab id lists are immutable during the
   // clip phase, so a retry simply re-reads them.
   //
-  // Healthy rung, fused: a slab holds whole polygons, so every one is an
-  // *inside* contour of the slab — clip_bounds_to_slab concatenates their
-  // prepared bound fragments into the arena's bound table and their
-  // schedule ys as runs, and the sweep follows: no contour copies, no
-  // re-preparation, no schedule sort. kRetrySafe materializes the slab's
-  // PolygonSets from the id lists and runs the ordinary vatti_clip on fresh
-  // scratch, which rebuilds the same table bit for bit (per-contour
-  // deterministic prep).
+  // Healthy rung, fused: a slab holds whole polygons, so its band is the
+  // whole plane — seq::build_band copies every prepared bound fragment
+  // whole into the arena's bound table (nothing is cut, nothing enters or
+  // leaves), their schedule ys merge as runs, and the sweep follows: no
+  // contour copies, no re-preparation, no schedule sort. kRetrySafe
+  // materializes the slab's PolygonSets from the id lists and runs the
+  // ordinary vatti_clip on fresh scratch, which rebuilds the same table bit
+  // for bit (per-contour deterministic prep).
   auto attempt = [&](std::size_t t, SlabArena* arena,
                      par::gov::ScopedCharge& charge, SlabWork& w) {
     par::WallTimer timer;
@@ -287,31 +287,29 @@ geom::PolygonSet multiset_clip(const geom::PolygonSet& subject,
     seq::VattiStats vs;
     if (arena) {
       seq::BoundTable& bt = seq::scratch_bounds(arena->vatti);
-      bt.edges.clear();
-      bt.minima.clear();
+      bt.clear();
       std::vector<double>& ys = seq::scratch_schedule(arena->vatti);
       ys.clear();
       arena->run_end.assign(1, 0);
-      seq::FusedClipStats fstats;
-      bool finite = true;
+      std::int64_t touched = 0;
       for (const Layer& l : layers) {
         arena->refs.clear();
-        for (const std::uint32_t id : l.slab_ids[t])
-          arena->refs.push_back({l.prep.prep[id], l.recs[id].contour,
-                                 /*inside=*/true, /*in_shared=*/false});
-        if (!seq::clip_bounds_to_slab(arena->refs, geom::BBox{}, l.is_clip,
-                                      &arena->rect, bt, ys, arena->run_end,
-                                      &fstats))
-          finite = false;
+        for (const std::uint32_t id : l.slab_ids[t]) {
+          const seq::PreparedContour* pc = l.prep.prep[id];
+          arena->refs.push_back({pc, -1});
+          if (pc == nullptr || !pc->finite || pc->ys.empty()) continue;
+          ys.insert(ys.end(), pc->ys.begin(), pc->ys.end());
+          arena->run_end.push_back(ys.size());
+        }
+        if (!seq::build_band(arena->refs, seq::Band{}, bt, &touched))
+          throw Error(ErrorCode::kNonFinite,
+                      "non-finite vertex in multiset slab " +
+                          std::to_string(t) + " input");
       }
       seq::sort_minima(bt);
       charge.raise_to(arena->resident_bytes());
-      w.load.touched_edges = fstats.touched_edges;
+      w.load.touched_edges = touched;
       w.load.bound_build_ns = static_cast<std::int64_t>(timer.seconds() * 1e9);
-      if (!finite)
-        throw Error(ErrorCode::kNonFinite,
-                    "non-finite vertex in multiset slab " +
-                        std::to_string(t) + " input");
       par::WallTimer sched_timer;
       seq::merge_sorted_runs_unique(ys, arena->run_end);
       w.load.schedule_ns =

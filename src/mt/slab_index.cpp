@@ -52,7 +52,7 @@ SlabRange slab_range(double ymin, double ymax, std::span<const double> bounds,
 
 namespace {
 
-/// Sortable (slab, contour) record; `inside` rides along.
+/// Sortable (slab, contour) record.
 struct Rec {
   std::uint32_t slab = 0;
   SlabEntry entry;
@@ -95,14 +95,9 @@ SlabContourIndex build_slab_index(par::ThreadPool& pool,
         const SlabRange r =
             slab_range(boxes[i].ymin, boxes[i].ymax, bounds, nslabs);
         auto at = static_cast<std::size_t>(alloc.offsets[i]);
-        for (std::size_t t = r.lo; t <= r.hi; ++t, ++at) {
-          // `inside` is per (contour, slab): closed intervals let a
-          // boundary-touching zero-height contour be inside two slabs.
-          const bool inside =
-              boxes[i].ymin >= bounds[t] && boxes[i].ymax <= bounds[t + 1];
+        for (std::size_t t = r.lo; t <= r.hi; ++t, ++at)
           recs[at] = {static_cast<std::uint32_t>(t),
-                      {static_cast<std::uint32_t>(i), inside}};
-        }
+                      {static_cast<std::uint32_t>(i)}};
       },
       /*grain=*/256);
 

@@ -9,24 +9,19 @@
 
 namespace psclip::mt {
 
-/// One contour's membership in one slab of the interval index.
+/// One item's membership in one slab of the interval index.
 struct SlabEntry {
-  std::uint32_t contour = 0;  ///< contour index in the input PolygonSet
-  /// The contour's y-range lies fully inside [bounds[t], bounds[t+1]]: the
-  /// slab moves the contour into its output untouched instead of running
-  /// the rectangle clipper on it. (A zero-height contour sitting exactly on
-  /// a slab boundary can be "fully inside" two adjacent slabs — closed
-  /// intervals — which reproduces the broadcast rect_clip classification
-  /// bit for bit.)
-  bool inside = false;
+  std::uint32_t contour = 0;  ///< index of the item (box) in the input span
 };
 
-/// Slab-overlap contour index: for every slab t, the exact list of contour
-/// ids whose y-interval overlaps [bounds[t], bounds[t+1]] (closed, matching
-/// geom::BBox::overlaps), in ascending contour order.
+/// Slab-overlap index: for every slab t, the exact list of item ids whose
+/// y-interval overlaps [bounds[t], bounds[t+1]] (closed, matching
+/// geom::BBox::overlaps), in ascending id order. mt::slab_clip indexes
+/// band-builder units — whole contours, or single local minima of the
+/// contours that straddle a cut — by their prepared extents.
 ///
 /// This is what makes Algorithm 2's partition phase output-sensitive: slab
-/// t rect-clips only its overlapping contours, so total partition work is
+/// t visits only the units that meet it, so total partition work is
 /// O(n log n) to build the index once plus Σ_t n_t to consume it, instead
 /// of the O(p·n) of broadcasting both whole input sets to every slab task.
 /// (Skala's preprocessing-pays-for-itself line-clipping argument, applied
@@ -58,10 +53,8 @@ struct SlabContourIndex {
 struct SlabRange {
   std::size_t lo = 1, hi = 0;
 
-  /// The interval overlaps exactly one slab. Combined with a strict
-  /// containment test on the *prepared* bbox, this is how the fused
-  /// partition decides a contour's schedule ys can come from the shared
-  /// global slice (see mt::slab_clip).
+  /// The interval overlaps exactly one slab, so lies within it: slab_clip
+  /// indexes such a contour whole instead of by its local minima.
   [[nodiscard]] bool single() const { return lo == hi; }
 };
 
@@ -79,8 +72,7 @@ std::vector<double> slab_bounds(std::span<const double> events, double lo,
 
 /// Compute the slab range of one y-interval against the (strictly
 /// increasing) slab boundary array — the classification primitive behind
-/// build_slab_index, exported for the fused partition's well-contained
-/// test.
+/// build_slab_index, exported for slab_clip's whole-or-minima unit choice.
 SlabRange slab_range(double ymin, double ymax, std::span<const double> bounds,
                      std::size_t nslabs);
 

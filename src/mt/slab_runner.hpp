@@ -43,7 +43,7 @@ struct SlabWork {
 /// What an engine hands the runner once its setup is done.
 struct SlabJob {
   /// y-extent of every slab task; its size is the slab count. Names the
-  /// missing strips of a partial result.
+  /// missing strips of a partial result, so every extent is finite.
   std::vector<std::pair<double, double>> extents;
   /// One attempt at slab `t`. `arena` is the executing worker's arena on
   /// the healthy rung; null means kRetrySafe — fresh scratch and the

@@ -14,12 +14,14 @@ namespace psclip::mt {
 /// in declaration order; each is strictly more conservative (and slower)
 /// than the one before it.
 enum class Rung : std::uint8_t {
-  /// The fast path (fused partition + worker arena) succeeded.
+  /// The fast path (globally prepared contours + worker arena) succeeded.
   kHealthy = 0,
-  /// Retry on the materializing path: broadcast partition (slab_clip) or
-  /// the slab's polygons materialized from its id lists (multiset_clip),
-  /// fresh scratch, no arena. Produces bit-identical output to the healthy path —
-  /// the recovery rung for every transient or state-corruption fault.
+  /// Retry on fresh scratch, no arena, no shared setup state: slab_clip
+  /// re-prepares every contour (no cache, no index, no shared schedule) and
+  /// runs the same band builder and sweep; multiset_clip materializes the
+  /// slab's polygons from its id lists and runs vatti_clip. Produces
+  /// bit-identical output to the healthy path — the recovery rung for
+  /// every transient or state-corruption fault.
   kRetrySafe,
   /// Final rung: the entire request recomputed by the sequential Vatti
   /// clipper, abandoning the slab decomposition (result contours are no
@@ -102,27 +104,26 @@ struct SlabLoad {
   /// work the slab's Step 6 really did, not the raw vertex count handed in.
   std::int64_t input_edges = 0;
   std::int64_t output_vertices = 0;
-  /// Input the *partition* step read for this slab. The broadcast partition
-  /// (slab_clip's kRetrySafe rung) scans every vertex of both inputs; the
-  /// fused partition counts the bound edges it appends for the contours the
-  /// slab overlaps (prepared fragments are copied, not re-derived).
-  /// Deterministic (no timing noise), which makes it the CI-gateable
-  /// ablation metric.
+  /// Input the *partition* step read for this slab. The retry rungs scan
+  /// every vertex of the inputs they materialize (slab_clip's: both whole
+  /// inputs); the healthy rung counts the bound edges the band builder
+  /// appends — whole prepared fragments for contours inside the band, the
+  /// in-band sub-chains of cut ones — so over all slabs it sums to the
+  /// number of (edge, band) pairs that meet, O(n + k'). Deterministic (no
+  /// timing noise), which makes it the CI-gateable ablation metric.
   std::int64_t touched_edges = 0;
-  /// Nanoseconds this slab spent building bounds (fused: fragment copies +
-  /// piece prep inside clip_bounds_to_slab; materializing paths: the
-  /// clean/coalesce/perturb/decompose pass inside vatti_clip).
+  /// Nanoseconds this slab spent building bounds (healthy: fragment copies
+  /// and band cuts in seq::build_band; retry rungs: re-preparation plus
+  /// the same assembly, or multiset_clip's vatti_clip bound pass).
   std::int64_t bound_build_ns = 0;
-  /// Nanoseconds this slab spent on its scanbeam schedule (fused: slicing
-  /// the shared global schedule + merging stray/piece runs; materializing
-  /// paths: the per-slab sort or k-way merge inside the sweep).
+  /// Nanoseconds this slab spent on its scanbeam schedule (slab_clip
+  /// healthy: slicing the shared global schedule; otherwise merging the
+  /// slab contours' per-contour runs, or the sort or k-way merge inside
+  /// vatti_clip).
   std::int64_t schedule_ns = 0;
-  /// Piece edges stitched exactly onto this slab's boundary lines by the
-  /// rectangle clipper (fused partition only; see FusedClipStats).
-  std::int64_t boundary_edges = 0;
   /// Approximate peak bytes resident in the scratch arena that served this
   /// slab's successful attempt (seq::VattiScratch::resident_bytes plus the
-  /// rect-clip scratch), sampled right after the attempt. Capacity-based:
+  /// band builder's staging), sampled right after the attempt. Capacity-based:
   /// pooled worker arenas keep capacity across slabs, so one worker's
   /// arena reports the high-water mark of everything it served so far —
   /// exactly the number the memory-budget model charges (DESIGN.md §11).

@@ -31,11 +31,11 @@ namespace psclip::par::fault {
 
 /// Where a fault can be injected.
 enum class Site : int {
-  kRectClip = 0,  ///< straddling path of seq::rect_clip / clip_bounds_to_slab
+  kRectClip = 0,  ///< straddling path of seq::rect_clip (viewport clipping)
   kVattiSweep,    ///< seq::vatti_clip entry / output
   kArena,         ///< mt::worker_arena() borrow (throw kinds only on entry)
   kTaskGroup,     ///< par::TaskGroup task wrapper, before the body runs
-  kFusedBounds,   ///< seq::clip_bounds_to_slab entry / piece output
+  kFusedBounds,   ///< seq::build_band (slab band builder) entry / output
 };
 inline constexpr int kSiteCount = 5;
 
@@ -102,6 +102,13 @@ struct Plan {
 inline constexpr std::uint64_t kDefaultStallMs = 5;
 inline constexpr std::uint64_t kDefaultHogBytes = 1ull << 30;
 
+/// A slab-engine site for a seeded plan: every site but kRectClip, which
+/// only seq::rect_clip reaches (the slab engines never rect-clip), so a
+/// fuzz plan drawn there would never fire.
+inline Site seeded_site(std::uint64_t z) {
+  return static_cast<Site>(1 + z % (kSiteCount - 1));
+}
+
 /// Derive a pseudo-random single-shot plan from a seed — the fuzz lane's
 /// source of fault diversity. kCorrupt is only meaningful at sites that
 /// produce geometry, so kTaskGroup faults are always kThrow.
@@ -112,7 +119,7 @@ inline Plan seeded_plan(std::uint64_t seed, std::uint64_t max_key) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
   z ^= z >> 31;
   Plan p;
-  p.site = static_cast<Site>(z % kSiteCount);
+  p.site = seeded_site(z);
   p.kind = p.site == Site::kTaskGroup
                ? Kind::kThrow
                : static_cast<Kind>((z >> 8) % kKindCount);
@@ -130,7 +137,7 @@ inline Plan seeded_governance_plan(std::uint64_t seed, std::uint64_t max_key) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
   z ^= z >> 31;
   Plan p;
-  p.site = static_cast<Site>(z % kSiteCount);
+  p.site = seeded_site(z);
   p.kind = ((z >> 8) % kGovernanceKindCount) == 0 ? Kind::kStall : Kind::kHog;
   p.key = max_key ? (z >> 16) % max_key : kAnyKey;
   p.fire_count = 1;

@@ -88,9 +88,14 @@ struct ClipOptions {
 };
 
 /// Vertex-count threshold at which kAuto hands a clip to the parallel slab
-/// engine: below it the partition overhead outweighs the parallel win
-/// (cf. bench_fig8). Exposed so the facade tests pin the boundary.
-inline constexpr std::size_t kAutoSlabMinVertices = 20000;
+/// engine. Alternating vatti_clip / slab_clip pairs on blob pairs and
+/// polygon fields, 4k to 24k vertices, on 2-, 3- and 4-thread pools (the
+/// 2- and 3-thread runs pinned to as many CPUs; EXPERIMENTS.md, "Output-
+/// sensitive slab partition"): the slab engine won at least 9 of 10 pairs
+/// at every pool size from 6k vertices up, and tied 5 of 10 once at 4k on
+/// two CPUs. 8000 keeps one measured size of margin over that tie. Exposed
+/// so the facade tests pin the boundary.
+inline constexpr std::size_t kAutoSlabMinVertices = 8000;
 
 /// Resolve the engine a clip of `total_vertices` input vertices will run
 /// on, given the executing pool's thread count. Pure function of its

@@ -110,8 +110,7 @@ void sort_minima(BoundTable& bt) {
 
 void build_bounds_into(BoundTable& bt, const geom::PolygonSet& subject,
                        const geom::PolygonSet& clip) {
-  bt.edges.clear();
-  bt.minima.clear();
+  bt.clear();
   append_bounds(bt, subject, /*is_clip=*/false);
   append_bounds(bt, clip, /*is_clip=*/true);
   sort_minima(bt);
@@ -153,8 +152,7 @@ bool prepare_contour_points(const geom::Contour& in, geom::Contour& out) {
 
 bool prepare_contour(const geom::Contour& in, bool is_clip,
                      PreparedContour& out) {
-  out.bt.edges.clear();
-  out.bt.minima.clear();
+  out.bt.clear();
   out.ys.clear();
   out.box = geom::BBox{};
   out.finite = true;
@@ -235,21 +233,25 @@ void scanbeam_ys_into(const BoundTable& bt, std::vector<double>& ys) {
 void scanbeam_ys_merged_into(const BoundTable& bt, std::vector<double>& ys) {
   ys.clear();
   ys.reserve(bt.edges.size() + bt.minima.size());
-  // One sorted run per bound: the shared minimum's y, then the strictly
-  // increasing edge tops along the chain (each edge's bot is the previous
-  // edge's top, so interior bots add no distinct values).
+  // One sorted run per bound: its first edge's bot (the shared minimum, or
+  // the band bottom for an entering bound), then the strictly increasing
+  // edge tops along the chain (each edge's bot is the previous edge's top,
+  // so interior bots add no distinct values).
   std::vector<std::size_t> run_end;  // run r = ys[run_end[r], run_end[r+1])
-  run_end.reserve(bt.minima.size() * 2 + 1);
+  run_end.reserve(bt.minima.size() * 2 + bt.entering.size() + 1);
   run_end.push_back(0);
+  const auto add_run = [&](std::int32_t head) {
+    ys.push_back(bt.edges[static_cast<std::size_t>(head)].bot.y);
+    for (std::int32_t e = head; e >= 0;
+         e = bt.edges[static_cast<std::size_t>(e)].next)
+      ys.push_back(bt.edges[static_cast<std::size_t>(e)].top.y);
+    run_end.push_back(ys.size());
+  };
   for (const LocalMin& lm : bt.minima) {
-    for (const std::int32_t head : {lm.edge_left, lm.edge_right}) {
-      ys.push_back(bt.edges[static_cast<std::size_t>(head)].bot.y);
-      for (std::int32_t e = head; e >= 0;
-           e = bt.edges[static_cast<std::size_t>(e)].next)
-        ys.push_back(bt.edges[static_cast<std::size_t>(e)].top.y);
-      run_end.push_back(ys.size());
-    }
+    add_run(lm.edge_left);
+    add_run(lm.edge_right);
   }
+  for (const std::int32_t head : bt.entering) add_run(head);
   merge_sorted_runs_unique(ys, run_end);
 }
 

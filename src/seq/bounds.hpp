@@ -15,8 +15,15 @@ struct BoundEdge {
   geom::Point bot, top;
   double dxdy = 0.0;       ///< slope dx/dy (finite: no horizontal edges)
   bool is_clip = false;    ///< false = subject polygon, true = clip polygon
-  std::int32_t next = -1;  ///< next edge up the same bound; -1 at a local max
+  /// Next edge up the same bound; -1 at a local max; kLeavesBand where a
+  /// band-cut bound leaves its band across the top (see seq/band.hpp).
+  std::int32_t next = -1;
 };
+
+/// BoundEdge::next of the last edge of a bound cut at a band's top: the
+/// bound continues above the band, so the edge ends on the band's top
+/// scanline without a local maximum there.
+inline constexpr std::int32_t kLeavesBand = -2;
 
 /// A local minimum vertex with the first edges of its two ascending bounds.
 /// `edge_left` has the smaller slope dx/dy, i.e. it runs to the left of
@@ -33,8 +40,20 @@ struct LocalMin {
 struct BoundTable {
   std::vector<BoundEdge> edges;
   std::vector<LocalMin> minima;  ///< sorted by (pt.y, pt.x)
+  /// First edges of the bounds that enter a band across its bottom (the
+  /// band builder's cut chains, seq/band.hpp): the sweep preloads them on
+  /// its first scanline instead of inserting them at a local minimum.
+  /// Empty for whole-input tables.
+  std::vector<std::int32_t> entering;
 
   [[nodiscard]] std::size_t num_edges() const { return edges.size(); }
+
+  /// Empty the table, retaining capacity.
+  void clear() {
+    edges.clear();
+    minima.clear();
+    entering.clear();
+  }
 };
 
 /// Decompose the contours of `p` into bounds and append them to `bt`.
@@ -50,14 +69,15 @@ void append_bounds(BoundTable& bt, const geom::Contour& c, bool is_clip);
 
 /// Sort `bt.minima` by (y, x) — the final step of build_bounds_into,
 /// exposed so callers that assemble tables from prepared fragments (the
-/// fused slab partition) finish them identically.
+/// slab engines' band builder) finish them identically.
 void sort_minima(BoundTable& bt);
 
 /// Drop interior vertices of exactly-horizontal collinear runs: vertex i
 /// goes when prev.y == cur.y == next.y (exact compares) and cur.x lies
-/// strictly between its neighbours' x. Rect-clipping against a slab stitches
-/// chains of such vertices along the slab boundary line (one per crossing
-/// cut); left in place, perturbation turns each into a separate
+/// strictly between its neighbours' x. Rect-clipped input (and output
+/// pieces fed back in) carries chains of such vertices along a clip
+/// boundary line (one per crossing); left in place, perturbation turns
+/// each into a separate
 /// near-horizontal bound edge whose rounded x-order flips between beams and
 /// breaks the tuned kernel's sorted-beam fast path. Dropping the interior
 /// vertex of an exactly-collinear run never changes the even-odd region.
@@ -69,10 +89,9 @@ int coalesce_horizontal_runs(geom::Contour& c);
 /// removal) -> coalesce_horizontal_runs -> per-contour
 /// geom::remove_horizontals, into `out` (storage reused). Returns false
 /// when fewer than 3 vertices survive — such contours contribute no bounds
-/// anywhere. vatti_clip and the fused slab partition prepare every contour
-/// through this one function; the fused path's bit-identity with
-/// materialize-then-reclip rests on the prep being per-contour
-/// deterministic.
+/// anywhere. vatti_clip and both slab engines prepare every contour
+/// through this one function; the slab engines' healthy ≡ retry
+/// bit-identity rests on the prep being per-contour deterministic.
 bool prepare_contour_points(const geom::Contour& in, geom::Contour& out);
 
 /// One globally prepared contour, ready to drop into any slab's BoundTable
@@ -80,6 +99,12 @@ bool prepare_contour_points(const geom::Contour& in, geom::Contour& out);
 /// vertices, the contour's own bound fragment (edge ids local to `bt`,
 /// minima in emission order, unsorted), its sorted distinct endpoint ys
 /// (a ready-made scanbeam-schedule run), prepared bbox and finiteness.
+///
+/// Fragment layout (append_bounds): every bound's edges are contiguous in
+/// `bt.edges`, ascending in y, and the bounds follow one another in the
+/// order of their first edges — so bound k spans [head_k, head_{k+1}) where
+/// the heads are the minima's edge ids in increasing order. The band
+/// builder (seq/band.hpp) binary-searches a bound through that span.
 struct PreparedContour {
   geom::Contour pts;
   BoundTable bt;
@@ -142,9 +167,9 @@ void append_prepared(BoundTable& bt, const PreparedContour& pc);
 /// ys[run_end[r], run_end[r+1]); run_end.front() must be 0 and
 /// run_end.back() == ys.size()) into one sorted distinct-value vector with
 /// bottom-up pairwise in-place merges. `run_end` is consumed as scratch.
-/// Factored out of scanbeam_ys_merged_into; the fused slab partition uses
-/// it to combine the shared-schedule slice with per-contour and per-piece
-/// runs.
+/// Factored out of scanbeam_ys_merged_into; the slab engines use it to
+/// build the shared schedule (mt::slab_clip) and per-slab schedules from
+/// per-contour runs (mt::multiset_clip, slab_clip's retry rung).
 void merge_sorted_runs_unique(std::vector<double>& ys,
                               std::vector<std::size_t>& run_end);
 

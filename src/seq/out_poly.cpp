@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace psclip::seq {
 
@@ -18,6 +19,18 @@ std::int32_t OutPolyPool::create(const geom::Point& p, bool hole,
   poly.back_owner = back_edge;
   polys_.push_back(std::move(poly));
   return static_cast<std::int32_t>(polys_.size() - 1);
+}
+
+std::int32_t OutPolyPool::create_on_scanline(const geom::Point& p,
+                                             std::int32_t front_edge,
+                                             std::int32_t back_edge) {
+  const std::int32_t id = create(p, /*hole=*/false, front_edge, back_edge);
+  // A ring through a scanline-opened piece has its lowest side on that
+  // scanline with the region above it, so it is exterior — even when a
+  // hole-type local minimum (a concave notch) sits on the same scanline
+  // and would tie with it on min_y.
+  at(id).min_y = -std::numeric_limits<double>::infinity();
+  return id;
 }
 
 std::int32_t OutPolyPool::resolve(std::int32_t id) const {

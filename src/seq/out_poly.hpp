@@ -29,6 +29,15 @@ class OutPolyPool {
   std::int32_t create(const geom::Point& p, bool hole, std::int32_t front_edge,
                       std::int32_t back_edge);
 
+  /// Start a new partial contour at p on the bottom scanline of a beam or
+  /// band whose edges are already active there (seq::open_scanline): an
+  /// exterior piece whose region lies above p. When partials merge, its
+  /// exterior flag outranks one started at a local minimum on the same
+  /// scanline (see close).
+  std::int32_t create_on_scanline(const geom::Point& p,
+                                  std::int32_t front_edge,
+                                  std::int32_t back_edge);
+
   /// Append p to the end of `poly` owned by `edge`.
   void extend(std::int32_t poly, std::int32_t edge, const geom::Point& p);
 
@@ -104,7 +113,9 @@ class OutPolyPool {
   struct Poly {
     std::list<geom::Point> pts;
     bool hole = false;
-    double min_y = 0.0;  ///< y of the minimum this partial started at
+    /// y of the minimum this partial started at; -inf for one opened on a
+    /// scanline (create_on_scanline), which is lowest by construction.
+    double min_y = 0.0;
     bool closed = false;
     std::int32_t redirect = -1;
     std::int32_t front_owner = -1;

@@ -1,20 +1,16 @@
 #pragma once
 
-#include <cstdint>
-#include <span>
-#include <vector>
-
 #include "geom/bbox.hpp"
 #include "geom/polygon.hpp"
-#include "seq/bounds.hpp"
 
 namespace psclip::seq {
 
 /// Clipper for rect_clip. The paper evaluates Greiner–Hormann against GPC
 /// for the rectangle-clipping steps of Algorithm 2 and picks GH as the
-/// faster option; mt::slab_clip always uses GH, and the baselines stay
-/// selectable here for bench_ablation_rectclip and general viewport
-/// clipping.
+/// faster option. mt::slab_clip does not rect-clip at all — it cuts
+/// prepared monotone bounds to each slab's band (seq/band.hpp, DESIGN.md
+/// §3) — so rect_clip serves viewport clipping and the
+/// bench_ablation_rectclip comparison of the three methods.
 enum class RectClipMethod {
   kGreinerHormann,     ///< the paper's choice for Steps 4–5
   kVatti,              ///< general clipper on a rectangle (GPC's role)
@@ -25,76 +21,11 @@ const char* to_string(RectClipMethod m);
 
 /// Clip `subject` to the axis-aligned rectangle.
 ///
-/// Contours entirely inside are passed through untouched (common fast path
-/// for slab partitioning), contours entirely outside are dropped, and only
-/// boundary-straddling contours run through the selected clipper.
+/// Contours entirely inside are passed through untouched, contours entirely
+/// outside are dropped, and only boundary-straddling contours run through
+/// the selected clipper (the kRectClip fault-injection site).
 geom::PolygonSet rect_clip(const geom::PolygonSet& subject,
                            const geom::BBox& rect,
                            RectClipMethod method = RectClipMethod::kGreinerHormann);
-
-/// Reusable scratch for clip_bounds_to_slab: the
-/// staging buffers survive between calls (a slab-arena worker resets them
-/// instead of reallocating them for every slab task).
-struct RectClipScratch {
-  geom::PolygonSet straddling;
-  geom::PolygonSet pieces;      ///< clip_bounds_to_slab: rect-clip output
-  PreparedContour piece_prep;   ///< clip_bounds_to_slab: per-piece prep
-};
-
-/// One contour of a slab's overlap list, as clip_bounds_to_slab reads it.
-struct SlabContourRef {
-  /// Globally prepared bound fragment; null = degenerate after prep.
-  const PreparedContour* prepared = nullptr;
-  const geom::Contour* original = nullptr;
-  bool inside = false;     ///< fully inside the slab rectangle
-  bool in_shared = false;  ///< schedule ys covered by the shared global slice
-};
-
-/// Deterministic work counters of one clip_bounds_to_slab call.
-struct FusedClipStats {
-  /// Bound edges appended for this input (prepared fragments + piece
-  /// fragments) — the fused analogue of SlabLoad::touched_edges' "vertices
-  /// the partition read".
-  std::int64_t touched_edges = 0;
-  /// Piece edges lying exactly on the slab's bottom or top boundary line —
-  /// the degeneracy-rich edges the rectangle clipper stitches in (before
-  /// coalescing).
-  std::int64_t boundary_edges = 0;
-};
-
-/// Fused partition path of mt::slab_clip: rect-clip *bounds, not
-/// contours*. For one input (subject or clip) of one slab, append directly
-/// to `bt`:
-///
-///  - contours fully inside the slab (`inside`): their globally prepared
-///    bound fragment `prepared` is copied in with index fixups
-///    (append_prepared) — no re-clean, no re-perturbation, no per-slab
-///    bound re-derivation. `prepared` may be null (degenerate after
-///    prep: contributes nothing, exactly as the set pipeline drops it).
-///  - boundary-straddling contours: `original` runs through the
-///    Greiner–Hormann rectangle clipper (byte-identical pieces to rect_clip
-///    with its default method, same kRectClip fault sites), and each piece
-///    is prepared and appended — after every inside fragment, the order in
-///    which the materializing path's rect_clip output reaches the set
-///    pipeline.
-///
-/// The per-slab scanbeam schedule is assembled as sorted runs in
-/// `ys`/`run_end` (see merge_sorted_runs_unique): one run per piece, plus
-/// one run per inside contour whose schedule is NOT already covered by the
-/// caller's shared global slice (`in_shared` false). Minima are appended
-/// unsorted; the caller finishes the table with sort_minima once both
-/// inputs are in.
-///
-/// Returns false when any used fragment or piece carries a non-finite
-/// vertex (the caller must fail the slab attempt exactly as the
-/// materializing path's is_finite post-check does). Fires the kFusedBounds
-/// fault-injection site on entry; the corruption hook poisons the piece
-/// set, which surfaces through the same false return.
-bool clip_bounds_to_slab(std::span<const SlabContourRef> contours,
-                         const geom::BBox& rect, bool is_clip,
-                         RectClipScratch* scratch, BoundTable& bt,
-                         std::vector<double>& ys,
-                         std::vector<std::size_t>& run_end,
-                         FusedClipStats* stats = nullptr);
 
 }  // namespace psclip::seq

@@ -96,4 +96,68 @@ void emit_crossing(OutPolyPool& pool, SweepEntry& u, bool u_is_clip,
   v.poly = v_above;
 }
 
+void assign_parity(std::span<SweepEntry> ents, const BoundTable& bt) {
+  bool s = false, c = false;
+  for (SweepEntry& en : ents) {
+    en.left_s = s;
+    en.left_c = c;
+    const bool clip = bt.edges[static_cast<std::size_t>(en.e)].is_clip;
+    s ^= !clip;
+    c ^= clip;
+  }
+}
+
+namespace {
+
+/// Walk `ents` in x order and hand every (left, right) pair of consecutive
+/// contributing entries with the interior between them to `pair`.
+template <typename Pair>
+void for_each_interior_pair(std::span<SweepEntry> ents, const BoundTable& bt,
+                            geom::BoolOp op, Pair pair) {
+  std::size_t open_left = ents.size();  // none
+  for (std::size_t i = 0; i < ents.size(); ++i) {
+    const SweepEntry& en = ents[i];
+    const bool clip = bt.edges[static_cast<std::size_t>(en.e)].is_clip;
+    const bool lhs = geom::in_result(en.left_s, en.left_c, op);
+    const bool rhs = geom::in_result(en.left_s ^ !clip, en.left_c ^ clip, op);
+    if (lhs == rhs) continue;  // not contributing
+    if (rhs) {
+      open_left = i;  // interior opens to the right of this edge
+    } else if (open_left != ents.size()) {
+      pair(open_left, i);
+      open_left = ents.size();
+    }
+  }
+}
+
+}  // namespace
+
+void open_scanline(OutPolyPool& pool, std::span<SweepEntry> ents,
+                   std::span<const double> x, const BoundTable& bt, double y,
+                   geom::BoolOp op) {
+  for_each_interior_pair(ents, bt, op, [&](std::size_t l, std::size_t r) {
+    const geom::Point pl{x[l], y};
+    const geom::Point pr{x[r], y};
+    const std::int32_t id =
+        pool.create_on_scanline(pl, ents[l].e, ents[r].e);
+    if (!(pr == pl)) pool.extend(id, ents[r].e, pr);
+    ents[l].poly = id;
+    ents[r].poly = id;
+  });
+}
+
+void close_scanline(OutPolyPool& pool, std::span<SweepEntry> ents,
+                    std::span<const double> x, const BoundTable& bt, double y,
+                    geom::BoolOp op) {
+  for_each_interior_pair(ents, bt, op, [&](std::size_t l, std::size_t r) {
+    const SweepEntry& el = ents[l];
+    const SweepEntry& er = ents[r];
+    if (el.poly < 0 || er.poly < 0) return;  // degenerate-tie fallback
+    const geom::Point pl{x[l], y};
+    const geom::Point pr{x[r], y};
+    if (!(pl == pr)) pool.extend(el.poly, el.e, pl);
+    pool.close(el.poly, el.e, er.poly, er.e, pr);
+  });
+}
+
 }  // namespace psclip::seq

@@ -1,9 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "geom/bool_op.hpp"
 #include "geom/point.hpp"
+#include "seq/bounds.hpp"
 #include "seq/out_poly.hpp"
 
 namespace psclip::seq {
@@ -36,5 +38,30 @@ struct SweepEntry {
 void emit_crossing(OutPolyPool& pool, SweepEntry& u, bool u_is_clip,
                    SweepEntry& v, bool v_is_clip, const geom::Point& p,
                    geom::BoolOp op);
+
+/// Lemma 2/3's parity prefix: for sweep entries listed in x order, set each
+/// entry's left_s/left_c to the subject/clip parities accumulated over the
+/// entries to its left (edge ids index `bt`).
+void assign_parity(std::span<SweepEntry> ents, const BoundTable& bt);
+
+/// Open the output polygons along the bottom scanline `y` of a beam or band
+/// whose edges are already active there — Algorithm 1 at every beam, the
+/// slab engine's band sweep at its first scanline. Entries are in x order
+/// with parity flags set and no poly; `x[i]` is entry i's x on `y`. Every
+/// interior stretch runs between two consecutive *contributing* entries
+/// (result membership flips across them): a polygon opens there with a
+/// horizontal bottom side from the left entry's x to the right one's, and
+/// both entries own its ends. Non-contributing entries own nothing.
+void open_scanline(OutPolyPool& pool, std::span<SweepEntry> ents,
+                   std::span<const double> x, const BoundTable& bt, double y,
+                   geom::BoolOp op);
+
+/// The matching top: pair consecutive contributing entries along scanline
+/// `y` again and close the polygons they own with a horizontal top side
+/// (a pair owning two different partial polygons joins them). `x[i]` is
+/// entry i's x on `y`.
+void close_scanline(OutPolyPool& pool, std::span<SweepEntry> ents,
+                    std::span<const double> x, const BoundTable& bt, double y,
+                    geom::BoolOp op);
 
 }  // namespace psclip::seq

@@ -27,6 +27,15 @@
 // adjacent scan detects the crossing-free common case and skips the
 // intersection machinery entirely. SweepKernel::kReference retains the
 // pre-optimization strategy; both kernels produce byte-identical output.
+//
+// Open bands (DESIGN.md §3): a slab's table may hold bounds cut to the
+// band [y_lo, y_hi] by the band builder (seq/band.hpp). The band's bottom
+// and top are then just the first and last scanlines: the bounds entering
+// across the bottom are preloaded into the AET with their parity prefix and
+// open output polygons between consecutive contributing edges, and those
+// leaving across the top are paired and closed there — Algorithm 1's beam
+// rule (seq/sweep_events.hpp) applied to the whole band. No rectangle
+// edges are swept.
 
 #include "seq/vatti.hpp"
 
@@ -125,9 +134,9 @@ std::size_t VattiScratch::resident_bytes() const {
   auto vec = [](const auto& v) {
     return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
   };
-  std::size_t b = vec(s.bt.edges) + vec(s.bt.minima) + vec(s.ys) +
-                  vec(s.aet) + vec(s.xb) + vec(s.xt) + vec(s.pos) +
-                  vec(s.events) + vec(s.keys) + vec(s.pending) +
+  std::size_t b = vec(s.bt.edges) + vec(s.bt.minima) + vec(s.bt.entering) +
+                  vec(s.ys) + vec(s.aet) + vec(s.xb) + vec(s.xt) +
+                  vec(s.pos) + vec(s.events) + vec(s.keys) + vec(s.pending) +
                   vec(s.deferred) + vec(s.staged) + vec(s.aet_merge) +
                   vec(s.xb_merge);
   // Hash map (reference kernel only): buckets + one node per entry.
@@ -180,6 +189,7 @@ class Sweep {
     pool_.reserve(bt_.minima.size());
     const std::vector<double>& ys = sc_.ys;
     std::size_t next_min = 0;
+    if (!bt_.entering.empty() && !ys.empty()) preload_band(ys.front());
     // Request governance (DESIGN.md §11): the scanbeam loop is the one
     // place whose trip count is output-sensitive, so it hosts the
     // cooperative cancellation checkpoint (amortized clock reads keep it
@@ -215,6 +225,10 @@ class Sweep {
             stats->max_aet, static_cast<std::int64_t>(aet_.size()));
       }
     }
+    // Band top: what is still active left the band across its last
+    // scanline (the rollover left their x there in xb).
+    if (!aet_.empty() && !ys.empty())
+      close_scanline(pool_, aet_, xb_, bt_, ys.back(), op_);
     if (stats) {
       stats->edges = static_cast<std::int64_t>(bt_.num_edges());
       stats->intersections = intersections_;
@@ -355,6 +369,37 @@ class Sweep {
     right.left_c = lc ^ fc;
     right.poly = poly;
     return {left, right};
+  }
+
+  /// Seed the AET on the band's bottom scanline `y` with the bounds that
+  /// enter across it, in x order (ties by slope, as minima insert; then by
+  /// edge id, so the order is a function of the table alone), then set
+  /// their parity prefix and open output polygons between consecutive
+  /// contributing edges. Runs before the first minima batch.
+  void preload_band(double y) {
+    auto& ks = sc_.keys;  // (x on y, edge id)
+    ks.clear();
+    for (const std::int32_t e : bt_.entering) {
+      assert(bt_.edges[static_cast<std::size_t>(e)].bot.y == y);
+      ks.emplace_back(bt_.edges[static_cast<std::size_t>(e)].bot.x, e);
+    }
+    std::sort(ks.begin(), ks.end(), [&](const auto& a, const auto& b) {
+      if (a.first != b.first) return a.first < b.first;
+      const double sa = bt_.edges[static_cast<std::size_t>(a.second)].dxdy;
+      const double sb = bt_.edges[static_cast<std::size_t>(b.second)].dxdy;
+      if (sa != sb) return sa < sb;
+      return a.second < b.second;
+    });
+    aet_.resize(ks.size());
+    xb_.resize(ks.size());
+    for (std::size_t i = 0; i < ks.size(); ++i) {
+      aet_[i] = SweepEntry{};
+      aet_[i].e = ks[i].second;
+      xb_[i] = ks[i].first;
+    }
+    assign_parity(aet_, bt_);
+    open_scanline(pool_, aet_, xb_, bt_, y, op_);
+    if (kernel_ == SweepKernel::kTuned) sync_pos(0);
   }
 
   /// Pre-PR insertion strategy: one O(|AET|) mid-vector insert per minimum.
@@ -624,13 +669,7 @@ class Sweep {
           if (iu > iv) std::swap(iu, iv);
           crossing_event(iu, iv, ev.p);
           swap_entries(iu, iv);
-          bool s = false, c = false;
-          for (auto& a : aet_) {
-            a.left_s = s;
-            a.left_c = c;
-            s ^= flip_s(a);
-            c ^= flip_c(a);
-          }
+          assign_parity(aet_, bt_);
         }
         break;
       }
@@ -661,7 +700,9 @@ class Sweep {
     for (std::size_t i = 0; i < aet_.size();) {
       SweepEntry& a = aet_[i];
       const BoundEdge e = edge(a);  // copy: aet_ may be mutated below
-      if (e.top.y != yt) {
+      if (e.top.y != yt || e.next == kLeavesBand) {
+        // Not ending here, or leaving the band across its top scanline:
+        // closed by the band-top pass after the last beam.
         ++i;
         continue;
       }
@@ -682,7 +723,7 @@ class Sweep {
       std::size_t j = i + 1;
       while (j < aet_.size()) {
         const BoundEdge& pe = edge(aet_[j]);
-        if (pe.next < 0 && pe.top == e.top) break;
+        if (pe.next == -1 && pe.top == e.top) break;
         ++j;
       }
       if (j == aet_.size()) {
@@ -751,8 +792,7 @@ PolygonSet vatti_clip(const PolygonSet& subject, const PolygonSet& clip,
   BoundTable& bt = sc.impl->bt;
   {
     const std::int64_t t0 = now_ns();
-    bt.edges.clear();
-    bt.minima.clear();
+    bt.clear();
     // Per-contour preparation (clean -> coalesce -> perturb): every step is
     // a per-contour function, so preparing contours one at a time here is
     // bit-identical to whole-set preparation — and to the fused slab

@@ -34,20 +34,15 @@ struct VattiStats {
   std::int64_t validate_failures = 0;
   /// Nanoseconds spent preparing contours and building the bound table
   /// (clean + coalesce + perturb + bound decomposition + minima sort).
-  /// The fused slab partition pays this once globally; the materializing
-  /// partition pays it again inside every slab — this counter is how the
-  /// difference shows up in traces and BENCH_scaling.json.
+  /// Zero from vatti_sweep_prepared, whose caller built the table (the
+  /// slab engines prepare every contour once globally and report their
+  /// per-slab table assembly in SlabLoad::bound_build_ns instead).
   std::int64_t bound_build_ns = 0;
   /// Nanoseconds spent building the scanbeam schedule. Zero when the
   /// caller supplied a prebuilt schedule (vatti_sweep_prepared with
-  /// prebuilt_schedule=true: the fused path slices one shared schedule
-  /// instead of sorting per slab).
+  /// prebuilt_schedule=true: slab_clip slices one shared schedule instead
+  /// of sorting per slab).
   std::int64_t schedule_ns = 0;
-  /// Bound edges with an endpoint exactly on a slab-boundary scanline —
-  /// the degeneracy-rich edges rect-clipping stitches in. Counted by the
-  /// fused partition (seq::clip_bounds_to_slab); stays 0 for whole-input
-  /// sweeps.
-  std::int64_t boundary_edges = 0;
 };
 
 /// Which per-beam maintenance strategy the sweep uses. Both produce
@@ -126,11 +121,11 @@ geom::PolygonSet vatti_clip(const geom::PolygonSet& subject,
 // Forward declaration (seq/bounds.hpp owns the definition).
 struct BoundTable;
 
-/// The scratch's bound table / scanbeam schedule, exposed so the fused slab
-/// partition can assemble them directly (prepared-contour fragments plus
-/// slab-cropped pieces; a slice of the shared global schedule) and then run
-/// the sweep via vatti_sweep_prepared without materializing intermediate
-/// polygons.
+/// The scratch's bound table / scanbeam schedule, exposed so the slab
+/// engines can assemble them directly (prepared-contour fragments and
+/// band-cut bounds from seq::build_band; a slice of the shared global
+/// schedule) and then run the sweep via vatti_sweep_prepared without
+/// materializing intermediate polygons.
 BoundTable& scratch_bounds(VattiScratch& scratch);
 std::vector<double>& scratch_schedule(VattiScratch& scratch);
 
@@ -140,10 +135,17 @@ std::vector<double>& scratch_schedule(VattiScratch& scratch);
 /// hold the sorted distinct endpoint ys of that table and is consumed
 /// as-is; otherwise the schedule is built here exactly as vatti_clip
 /// builds it. Fault-injection site and output-corruption hook are the same
-/// kVattiSweep sites vatti_clip fires, so the degradation-ladder behavior
-/// is identical on both partition paths. Output is byte-identical to
-/// vatti_clip on inputs whose prepared bounds/schedule match — the fused
-/// partition's whole contract.
+/// kVattiSweep sites vatti_clip fires. Output is byte-identical to
+/// vatti_clip on inputs whose prepared bounds/schedule match.
+///
+/// A table cut to a band (seq::build_band) is swept as an open band: the
+/// schedule's first and last values must be the band's finite ends. The
+/// bounds in BoundTable::entering are preloaded on the first scanline and
+/// open output polygons with horizontal bottom sides there; the bounds
+/// that leave across the top (BoundEdge::next == kLeavesBand) close theirs
+/// with horizontal top sides on the last scanline. Output rings of a band
+/// therefore lie within it, and their sides on the band's scanlines carry
+/// the cut vertices exactly.
 geom::PolygonSet vatti_sweep_prepared(geom::BoolOp op, VattiStats* stats,
                                       VattiScratch& scratch,
                                       SweepKernel kernel = SweepKernel::kTuned,

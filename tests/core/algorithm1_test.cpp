@@ -4,6 +4,7 @@
 
 #include "geom/area_oracle.hpp"
 #include "geom/point_in_polygon.hpp"
+#include "param_print.hpp"
 #include "seq/vatti.hpp"
 #include "test_support.hpp"
 
@@ -61,6 +62,11 @@ struct A1Case {
   MergeStrategy merge;
   bool segtree;
 };
+
+void PrintTo(const A1Case& c, std::ostream* os) {
+  test::print_param_bytes(c, os, &A1Case::seed, &A1Case::n1, &A1Case::n2,
+                          &A1Case::sx, &A1Case::merge, &A1Case::segtree);
+}
 
 class Algorithm1Differential : public ::testing::TestWithParam<A1Case> {};
 

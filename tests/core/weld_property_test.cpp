@@ -11,6 +11,7 @@
 #include "core/scanbeam.hpp"
 #include "geom/area_oracle.hpp"
 #include "geom/perturb.hpp"
+#include "param_print.hpp"
 #include "test_support.hpp"
 
 namespace psclip::core {
@@ -25,6 +26,11 @@ struct WCase {
   bool sx;
   int op_index;
 };
+
+void PrintTo(const WCase& c, std::ostream* os) {
+  test::print_param_bytes(c, os, &WCase::seed, &WCase::n1, &WCase::n2,
+                          &WCase::sx, &WCase::op_index);
+}
 
 class WeldProperty : public ::testing::TestWithParam<WCase> {};
 

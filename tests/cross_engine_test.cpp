@@ -11,6 +11,7 @@
 #include "geom/area_oracle.hpp"
 #include "mt/algorithm2.hpp"
 #include "mt/multiset.hpp"
+#include "param_print.hpp"
 #include "seq/martinez.hpp"
 #include "seq/vatti.hpp"
 #include "test_support.hpp"
@@ -26,6 +27,10 @@ struct XCase {
   int edges;
   bool blob;  // smooth blob pair vs jagged star pair
 };
+
+void PrintTo(const XCase& c, std::ostream* os) {
+  test::print_param_bytes(c, os, &XCase::seed, &XCase::edges, &XCase::blob);
+}
 
 class CrossEngine : public ::testing::TestWithParam<XCase> {};
 

@@ -38,16 +38,16 @@ TEST(Facade, AutoPicksSomethingSaneForEmptyInput) {
 // single-thread fallback, and the pass-through of explicit requests are all
 // pinned at compile time.
 TEST(Facade, ResolveEnginePinsTheAutoSelectionRule) {
-  static_assert(kAutoSlabMinVertices == 20000,
+  static_assert(kAutoSlabMinVertices == 8000,
                 "moving the kAuto threshold invalidates every cached "
                 "reproduction recipe; bump deliberately");
   // Threshold boundary, multi-threaded pool.
-  static_assert(resolve_engine(Engine::kAuto, 19999, 8) == Engine::kVatti);
-  static_assert(resolve_engine(Engine::kAuto, 20000, 8) == Engine::kSlab);
-  static_assert(resolve_engine(Engine::kAuto, 20000, 2) == Engine::kSlab);
+  static_assert(resolve_engine(Engine::kAuto, 7999, 8) == Engine::kVatti);
+  static_assert(resolve_engine(Engine::kAuto, 8000, 8) == Engine::kSlab);
+  static_assert(resolve_engine(Engine::kAuto, 8000, 2) == Engine::kSlab);
   // A 1-thread pool can never run slabs in parallel: sequential fallback
   // regardless of size.
-  static_assert(resolve_engine(Engine::kAuto, 20000, 1) == Engine::kVatti);
+  static_assert(resolve_engine(Engine::kAuto, 8000, 1) == Engine::kVatti);
   static_assert(resolve_engine(Engine::kAuto, std::size_t{1} << 30, 1) ==
                 Engine::kVatti);
   static_assert(resolve_engine(Engine::kAuto, 0, 64) == Engine::kVatti);
@@ -97,10 +97,10 @@ TEST(Facade, AutoDispatchFollowsResolveEngineEndToEnd) {
   };
 
   par::ThreadPool pool4(4), pool1(1);
-  const PolygonSet big_a = ring(10000, 0, 10), big_b = ring(10000, 5, 10);
-  const PolygonSet just_under = ring(9999, 0, 10);
+  const PolygonSet big_a = ring(4000, 0, 10), big_b = ring(4000, 5, 10);
+  const PolygonSet just_under = ring(3999, 0, 10);
 
-  {  // 20000 vertices on a parallel pool: kAuto must run the slab engine.
+  {  // 8000 vertices on a parallel pool: kAuto must run the slab engine.
     SlabSpanCounter sink;
     ClipOptions copts;
     copts.pool = &pool4;
@@ -116,7 +116,7 @@ TEST(Facade, AutoDispatchFollowsResolveEngineEndToEnd) {
     (void)clip(big_a, big_b, BoolOp::kIntersection, copts);
     EXPECT_EQ(sink.slabs(), 0) << "a 1-thread pool must fall back to Vatti";
   }
-  {  // 19999 vertices: one vertex under the threshold stays sequential.
+  {  // 7999 vertices: one vertex under the threshold stays sequential.
     SlabSpanCounter sink;
     ClipOptions copts;
     copts.pool = &pool4;

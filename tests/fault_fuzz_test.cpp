@@ -5,15 +5,15 @@
 // then arm a single-shot fault plan derived from the case seed
 // (fault::seeded_plan picks site, kind and slab key pseudo-randomly) and
 // run again. A single-shot fault is always recovered on the kRetrySafe
-// rung — broadcast repartition with fresh scratch, which the
-// fused≡broadcast guarantee makes bit-equal to the healthy path — so
+// rung — re-preparation on fresh scratch, which the healthy≡retry
+// guarantee makes bit-equal to the healthy path — so
 // the faulted run must be BYTE-IDENTICAL to the clean run, not merely
 // area-equal, on every corpus case. Degradation accounting must show
 // nothing deeper than kRetrySafe.
 //
 // Some seeded plans target a slab/site combination the case never reaches
-// (an out-of-range key, a rect-clip site when a slab has no straddling
-// contours). Those plans simply never fire; the identity requirement
+// (an out-of-range key, or a site the engine does not pass in that slab).
+// Those plans simply never fire; the identity requirement
 // holds either way, and the harness logs how many plans actually fired so
 // a generator regression that silences the whole lane is visible.
 

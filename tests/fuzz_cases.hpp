@@ -24,6 +24,7 @@
 #include "geom/bool_op.hpp"
 #include "geom/perturb.hpp"
 #include "geom/polygon.hpp"
+#include "param_print.hpp"
 
 namespace psclip::fuzz {
 
@@ -58,6 +59,11 @@ struct FuzzCase {
     return os.str();
   }
 };
+
+inline void PrintTo(const FuzzCase& c, std::ostream* os) {
+  test::print_param_bytes(c, os, &FuzzCase::seed, &FuzzCase::shape,
+                          &FuzzCase::degen, &FuzzCase::op);
+}
 
 /// Snap coordinates to a coarse grid. This manufactures exactly the inputs
 /// sweep-line clippers dislike: collinear edge runs, duplicate vertices,

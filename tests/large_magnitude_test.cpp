@@ -17,6 +17,7 @@
 #include <utility>
 
 #include "data/synthetic.hpp"
+#include "geom/area_oracle.hpp"
 #include "mt/algorithm2.hpp"
 #include "psclip.hpp"
 #include "seq/martinez.hpp"
@@ -39,6 +40,16 @@ PolygonSet translated(const PolygonSet& p, double d) {
       pt.y += d;
     }
   return q;
+}
+
+/// Same contours in the same order with the same bits.
+bool same_bytes(const PolygonSet& a, const PolygonSet& b) {
+  if (a.contours.size() != b.contours.size()) return false;
+  for (std::size_t i = 0; i < a.contours.size(); ++i)
+    if (a.contours[i].hole != b.contours[i].hole ||
+        a.contours[i].pts != b.contours[i].pts)
+      return false;
+  return true;
 }
 
 /// Area of `p` (which lives at offset `d`) measured at the origin.
@@ -104,6 +115,54 @@ TEST(LargeMagnitude, SlabClipKeepsEverySlab) {
           << got.num_contours() << " contours, area "
           << area_at_origin(got, d) << " want " << want;
     }
+}
+
+// The band builder's cut vertices far from the origin: healthy == forced
+// retry bit for bit on both kernels, and three-way area agreement (slab
+// engine, Vatti, Martinez) against the area oracle of the untranslated
+// inputs, on a blob pair and on two polygon fields.
+TEST(LargeMagnitude, SlabBandsFarFromOriginAgreeThreeWays) {
+  const auto blobs = data::synthetic_pair(3, 160);
+  const std::pair<PolygonSet, PolygonSet> inputs[] = {
+      {blobs.subject, blobs.clip},
+      {data::polygon_field(31, 12, 100.0, 8),
+       data::polygon_field(32, 12, 100.0, 7)}};
+  par::ThreadPool pool(4);
+  const double d = 1e10;
+  for (const auto& [a0, b0] : inputs) {
+    const PolygonSet a = translated(a0, d);
+    const PolygonSet b = translated(b0, d);
+    for (const BoolOp op : geom::kAllOps) {
+      const double want = geom::boolean_area_oracle(a0, b0, op);
+      EXPECT_TRUE(test::areas_match(
+          area_at_origin(seq::vatti_clip(a, b, op), d), want, kRelTol))
+          << "vatti op " << geom::to_string(op);
+      EXPECT_TRUE(test::areas_match(
+          area_at_origin(seq::martinez_clip(a, b, op), d), want, kRelTol))
+          << "martinez op " << geom::to_string(op);
+      for (const seq::SweepKernel kernel :
+           {seq::SweepKernel::kTuned, seq::SweepKernel::kReference}) {
+        for (const unsigned slabs : {3u, 8u}) {
+          mt::Alg2Options o;
+          o.slabs = slabs;
+          o.sweep_kernel = kernel;
+          mt::Alg2Stats stats;
+          const PolygonSet got = mt::slab_clip(a, b, op, pool, o, &stats);
+          EXPECT_EQ(stats.degraded_slabs(), 0);
+          EXPECT_TRUE(test::areas_match(area_at_origin(got, d), want, kRelTol))
+              << "op " << geom::to_string(op) << " slabs " << slabs << ": "
+              << area_at_origin(got, d) << " want " << want;
+          test::ForceRetrySink force_retry;
+          o.trace_sink = &force_retry;
+          mt::Alg2Stats retried;
+          const PolygonSet again = mt::slab_clip(a, b, op, pool, o, &retried);
+          EXPECT_TRUE(test::all_slabs_retried(retried));
+          EXPECT_TRUE(same_bytes(again, got))
+              << "op " << geom::to_string(op) << " slabs " << slabs;
+        }
+      }
+    }
+  }
 }
 
 // Large enough that kAuto picks the slab engine on a 4-thread pool.

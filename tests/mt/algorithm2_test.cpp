@@ -6,6 +6,7 @@
 
 #include "fuzz_cases.hpp"
 #include "geom/area_oracle.hpp"
+#include "param_print.hpp"
 #include "seq/vatti.hpp"
 #include "test_support.hpp"
 
@@ -44,6 +45,11 @@ struct A2Case {
   unsigned threads;  ///< pool size: the output must not depend on it
 };
 
+void PrintTo(const A2Case& c, std::ostream* os) {
+  test::print_param_bytes(c, os, &A2Case::seed, &A2Case::n1, &A2Case::n2,
+                          &A2Case::slabs, &A2Case::sx, &A2Case::threads);
+}
+
 class Algorithm2Differential : public ::testing::TestWithParam<A2Case> {};
 
 TEST_P(Algorithm2Differential, MatchesOracle) {
@@ -70,7 +76,7 @@ std::vector<A2Case> make_cases() {
   std::uint64_t seed = 3000;
   const unsigned threads[] = {4, 2, 1};
   for (int rep = 0; rep < 12; ++rep) {
-    A2Case c{};  // zeroed padding: gtest prints the bytes in the test name
+    A2Case c{};
     c.seed = seed++;
     c.n1 = 8 + rep * 4;
     c.n2 = 6 + rep * 3;

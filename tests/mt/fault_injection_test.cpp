@@ -1,16 +1,16 @@
 // Fault-injection matrix for the degradation ladder (requires a build with
 // -DPSCLIP_FAULT_INJECTION=ON; the tests are not registered otherwise).
 //
-// Each case arms one deterministic fault plan — a site (rect-clip, Vatti
+// Each case arms one deterministic fault plan — a site (band builder, Vatti
 // sweep, arena borrow, task-group wrapper), a kind (throw, bad_alloc,
 // silent output corruption), a slab key, and a fire count — then runs
 // slab_clip / multiset_clip and asserts BOTH halves of the isolation
 // contract:
 //
 //   1. recovery: the output matches the unfaulted run — byte-identical
-//      when recovery happens on the kRetrySafe rung (the materializing
-//      path, guaranteed bit-equal to the healthy fused path by the
-//      cross-engine fuzz harness), area-equal on the kWholeInput rung
+//      when recovery happens on the kRetrySafe rung (fresh scratch,
+//      guaranteed bit-equal to the healthy path by the fused-partition
+//      identity suite), area-equal on the kWholeInput rung
 //      (the sequential whole-input clip no longer splits contours at slab
 //      boundaries);
 //   2. accounting: Alg2Stats::degradation records exactly the expected
@@ -21,16 +21,19 @@
 // Rung reachability: both engines walk the same ladder, kHealthy →
 // kRetrySafe per slab, then kWholeInput for the whole request, and one
 // fault firing aborts exactly one attempt. Both per-slab rungs enter the
-// Vatti sweep (and, in slab_clip, the rectangle clipper), so a kVattiSweep
-// or kRectClip plan keyed to one slab ends on kRetrySafe when it fires
-// once and exhausts the slab when it fires twice or more; the whole-input
-// clip then runs keyless, out of the plan's reach. The arena and the
-// fused bound-construction site are only reached on the healthy rung, so
-// even an unbounded plan there stops at kRetrySafe.
+// Vatti sweep (and, in slab_clip, the band builder's kFusedBounds site),
+// so a kVattiSweep or slab_clip kFusedBounds plan keyed to one slab ends
+// on kRetrySafe when it fires once and exhausts the slab when it fires
+// twice or more; the whole-input clip then runs keyless, out of the plan's
+// reach. The arena — and, in multiset_clip, the band builder — is only
+// reached on the healthy rung, so even an unbounded plan there stops at
+// kRetrySafe. The slab engines never rect-clip; the kRectClip site is
+// covered through seq::rect_clip itself (RectClipFaultInjection).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -41,6 +44,7 @@
 #include "mt/stats.hpp"
 #include "parallel/fault.hpp"
 #include "parallel/thread_pool.hpp"
+#include "seq/rect_clip.hpp"
 #include "test_support.hpp"
 
 namespace psclip {
@@ -92,8 +96,8 @@ struct SlabMatrixCase {
   bool byte_identical;  ///< kWholeInput is area-equal, not bit-equal
 };
 
-// The targeted slab. With slabs=4 on the blob pair every slab rect-clips
-// straddling contours, so every rung's fault site is actually reached.
+// The targeted slab. With slabs=4 on the blob pair every slab cuts
+// straddling bounds, so every rung's fault site is actually reached.
 constexpr std::uint64_t kSlab = 1;
 
 const SlabMatrixCase kSlabMatrix[] = {
@@ -104,29 +108,18 @@ const SlabMatrixCase kSlabMatrix[] = {
      Rung::kRetrySafe, ErrorCode::kResource, true},
     {"vatti-corrupt-1", Site::kVattiSweep, Kind::kCorrupt, 1, Rung::kRetrySafe,
      ErrorCode::kNonFinite, true},
-    {"rect-throw-1", Site::kRectClip, Kind::kThrow, 1, Rung::kRetrySafe,
-     ErrorCode::kInjected, true},
-    {"rect-badalloc-1", Site::kRectClip, Kind::kBadAlloc, 1, Rung::kRetrySafe,
-     ErrorCode::kResource, true},
-    {"rect-corrupt-1", Site::kRectClip, Kind::kCorrupt, 1, Rung::kRetrySafe,
-     ErrorCode::kNonFinite, true},
     {"arena-throw-1", Site::kArena, Kind::kThrow, 1, Rung::kRetrySafe,
      ErrorCode::kInjected, true},
     {"arena-corrupt-1", Site::kArena, Kind::kCorrupt, 1, Rung::kRetrySafe,
      ErrorCode::kNonFinite, true},
-    // The fused bound-construction site (entry of clip_bounds_to_slab;
-    // corrupt poisons the straddling pieces, caught by the finiteness
-    // check before the sweep). Like the arena it is only reachable on the
-    // healthy rung — kRetrySafe is the materializing path — so even an
-    // unbounded plan stops at one rung down.
+    // The band builder (seq::build_band entry; corrupt reports a poisoned
+    // fragment, caught before the sweep). Both per-slab rungs build bands.
     {"fusedbounds-throw-1", Site::kFusedBounds, Kind::kThrow, 1,
      Rung::kRetrySafe, ErrorCode::kInjected, true},
     {"fusedbounds-badalloc-1", Site::kFusedBounds, Kind::kBadAlloc, 1,
      Rung::kRetrySafe, ErrorCode::kResource, true},
     {"fusedbounds-corrupt-1", Site::kFusedBounds, Kind::kCorrupt, 1,
      Rung::kRetrySafe, ErrorCode::kNonFinite, true},
-    {"fusedbounds-throw-many", Site::kFusedBounds, Kind::kThrow, 100,
-     Rung::kRetrySafe, ErrorCode::kInjected, true},
     // Two firings fail both per-slab rungs, so a repeated fault in one
     // slab ends on the whole-input fallback; shots left over stay unused
     // there because it runs keyless.
@@ -134,10 +127,14 @@ const SlabMatrixCase kSlabMatrix[] = {
      ErrorCode::kInjected, false},
     {"vatti-throw-3", Site::kVattiSweep, Kind::kThrow, 3, Rung::kWholeInput,
      ErrorCode::kInjected, false},
-    {"rect-throw-2", Site::kRectClip, Kind::kThrow, 2, Rung::kWholeInput,
-     ErrorCode::kInjected, false},
-    {"rect-throw-many", Site::kRectClip, Kind::kThrow, 100, Rung::kWholeInput,
-     ErrorCode::kInjected, false},
+    {"fusedbounds-throw-2", Site::kFusedBounds, Kind::kThrow, 2,
+     Rung::kWholeInput, ErrorCode::kInjected, false},
+    {"fusedbounds-badalloc-2", Site::kFusedBounds, Kind::kBadAlloc, 2,
+     Rung::kWholeInput, ErrorCode::kResource, false},
+    {"fusedbounds-corrupt-2", Site::kFusedBounds, Kind::kCorrupt, 2,
+     Rung::kWholeInput, ErrorCode::kNonFinite, false},
+    {"fusedbounds-throw-many", Site::kFusedBounds, Kind::kThrow, 100,
+     Rung::kWholeInput, ErrorCode::kInjected, false},
     // The arena is only borrowed on the healthy rung.
     {"arena-throw-many", Site::kArena, Kind::kThrow, 100, Rung::kRetrySafe,
      ErrorCode::kInjected, true},
@@ -310,9 +307,9 @@ const MultisetMatrixCase kMultisetMatrix[] = {
      ErrorCode::kInjected, true},
     {"arena-corrupt-1", Site::kArena, Kind::kCorrupt, 1, Rung::kRetrySafe,
      ErrorCode::kNonFinite, true},
-    // The fused fragment-concatenation site fires at the top of the fused
-    // healthy rung only; kRetrySafe materializes, so the plan goes quiet
-    // there even with shots left.
+    // The band builder fires at the top of the fused healthy rung only;
+    // multiset_clip's kRetrySafe materializes polygons for vatti_clip, so
+    // the plan goes quiet there even with shots left.
     {"fusedbounds-throw-1", Site::kFusedBounds, Kind::kThrow, 1,
      Rung::kRetrySafe, ErrorCode::kInjected, true},
     {"fusedbounds-throw-many", Site::kFusedBounds, Kind::kThrow, 100,
@@ -429,6 +426,46 @@ TEST(MultisetFaultInjection, TaskGroupFaultRecoversOnCaller) {
     EXPECT_LE(rep.rung, Rung::kRetrySafe) << rep.message;
 
   expect_identical(got, want, "multiset task-group fault");
+}
+
+// ---------------------------------------------------------------------------
+// seq::rect_clip (viewport clipping): the kRectClip site
+// ---------------------------------------------------------------------------
+
+// The site sits on the straddling path: every kind fires there, and a
+// contour fully inside the rectangle takes the pass-through path without
+// reaching it.
+TEST(RectClipFaultInjection, StraddlingPathHostsTheSite) {
+  const PolygonSet straddling =
+      geom::make_polygon({{-5, -5}, {15, -5}, {15, 15}, {-5, 15}});
+  const PolygonSet inside = geom::make_polygon({{2, 2}, {8, 2}, {8, 8}});
+  const geom::BBox rect{0, 0, 10, 10};
+  for (const Kind kind : {Kind::kThrow, Kind::kBadAlloc, Kind::kCorrupt}) {
+    SCOPED_TRACE(par::fault::to_string(kind));
+    Plan p;
+    p.site = Site::kRectClip;
+    p.kind = kind;
+    p.key = par::fault::kAnyKey;
+    p.fire_count = 1;
+    ArmedPlan armed(p);
+    EXPECT_EQ(seq::rect_clip(inside, rect).num_contours(), 1u);
+    EXPECT_EQ(par::fault::fired(), 0u);
+    switch (kind) {
+      case Kind::kThrow:
+        EXPECT_THROW(seq::rect_clip(straddling, rect), Error);
+        break;
+      case Kind::kBadAlloc:
+        EXPECT_THROW(seq::rect_clip(straddling, rect), std::bad_alloc);
+        break;
+      default:
+        EXPECT_FALSE(geom::is_finite(seq::rect_clip(straddling, rect)));
+        break;
+    }
+    EXPECT_EQ(par::fault::fired(), 1u);
+    // The plan is spent: the next clip is clean and exact.
+    EXPECT_DOUBLE_EQ(geom::signed_area(seq::rect_clip(straddling, rect)),
+                     100.0);
+  }
 }
 
 }  // namespace

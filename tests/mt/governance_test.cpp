@@ -19,7 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -82,6 +84,8 @@ void check_partial_report(const mt::Alg2Stats& stats, unsigned nslabs,
     EXPECT_LE(r.first, r.last);
     EXPECT_LT(r.last, nslabs);
     EXPECT_LT(r.y_lo, r.y_hi);
+    EXPECT_TRUE(std::isfinite(r.y_lo) && std::isfinite(r.y_hi))
+        << "a missing strip must be re-issuable";
     if (!first) EXPECT_GT(r.first, prev_end + 1)
         << "adjacent missing ranges must be merged";
     prev_end = r.last;
@@ -185,6 +189,12 @@ TEST(Governance, TinyBudgetWithAllowPartialReturnsPartial) {
   // A 1-byte budget rejects the very first arena charge of every slab that
   // does any work at all; this workload spans all slabs.
   EXPECT_EQ(stats.partial.missing_slabs(), o.slabs);
+  // The one merged strip, outer slabs included, covers the inputs.
+  ASSERT_EQ(stats.partial.missing.size(), 1u);
+  const mt::MissingSlabRange& strip = stats.partial.missing.front();
+  const geom::BBox sb = geom::bounds(f.subject), cb = geom::bounds(f.clip);
+  EXPECT_LE(strip.y_lo, std::min(sb.ymin, cb.ymin));
+  EXPECT_GE(strip.y_hi, std::max(sb.ymax, cb.ymax));
   EXPECT_EQ(got.num_contours(), 0u);
   EXPECT_EQ(budget->used(), 0u);
 }

@@ -23,10 +23,8 @@ using geom::BoolOp;
 using geom::Contour;
 using geom::PolygonSet;
 
-/// O(n·p) reference: the broadcast classification every slab task used to
-/// run, expressed as index entries. Closed-interval y-overlap, per-slab
-/// containment — exactly what rect_clip decides from geom::bounds when the
-/// slab rectangle is inflated in x beyond every contour.
+/// O(n·p) reference: the broadcast overlap test of every box against every
+/// slab, expressed as index entries. Closed-interval y-overlap.
 std::vector<std::vector<SlabEntry>> brute_force(
     const std::vector<BBox>& boxes, const std::vector<double>& bounds) {
   std::vector<std::vector<SlabEntry>> per_slab(bounds.size() - 1);
@@ -34,8 +32,7 @@ std::vector<std::vector<SlabEntry>> brute_force(
     for (std::size_t i = 0; i < boxes.size(); ++i) {
       const BBox& b = boxes[i];
       if (b.empty() || !b.overlaps_y(bounds[t], bounds[t + 1])) continue;
-      const bool inside = b.ymin >= bounds[t] && b.ymax <= bounds[t + 1];
-      per_slab[t].push_back({static_cast<std::uint32_t>(i), inside});
+      per_slab[t].push_back({static_cast<std::uint32_t>(i)});
     }
   }
   return per_slab;
@@ -49,8 +46,6 @@ void expect_index_equals(const SlabContourIndex& idx,
     ASSERT_EQ(got.size(), want[t].size()) << "slab " << t;
     for (std::size_t k = 0; k < got.size(); ++k) {
       EXPECT_EQ(got[k].contour, want[t][k].contour) << "slab " << t;
-      EXPECT_EQ(got[k].inside, want[t][k].inside)
-          << "slab " << t << " contour " << got[k].contour;
       if (k > 0)
         EXPECT_LT(got[k - 1].contour, got[k].contour)
             << "slab list not ascending";
@@ -144,8 +139,6 @@ TEST(SlabIndex, ContourTouchingSlabBoundaryIsInBothSlabs) {
   ASSERT_EQ(idx.num_slabs(), 2u);
   ASSERT_EQ(idx.slab(0).size(), 1u);
   ASSERT_EQ(idx.slab(1).size(), 1u);
-  EXPECT_TRUE(idx.slab(0)[0].inside);
-  EXPECT_FALSE(idx.slab(1)[0].inside);
   expect_index_equals(idx, brute_force(boxes, bounds));
 }
 
@@ -154,16 +147,13 @@ TEST(SlabIndex, ZeroHeightContourOnBoundaryIsInsideBothSlabs) {
   const std::vector<double> bounds = {0.0, 10.0, 20.0};
   // Degenerate horizontal contour sitting exactly on the boundary: its
   // closed y-interval [10, 10] is contained in both [0, 10] and [10, 20],
-  // so it must be "fully inside" (move-not-clip) in *both* slabs — the
-  // lo==hi shortcut would get this wrong and break broadcast bit-identity.
+  // so it must be listed in *both* slabs.
   std::vector<BBox> boxes(1);
   boxes[0].expand(geom::Point{2.0, 10.0});
   boxes[0].expand(geom::Point{7.0, 10.0});
   const SlabContourIndex idx = build_slab_index(pool, boxes, bounds);
   ASSERT_EQ(idx.slab(0).size(), 1u);
   ASSERT_EQ(idx.slab(1).size(), 1u);
-  EXPECT_TRUE(idx.slab(0)[0].inside);
-  EXPECT_TRUE(idx.slab(1)[0].inside);
   expect_index_equals(idx, brute_force(boxes, bounds));
 }
 
@@ -182,7 +172,6 @@ TEST(SlabIndex, DegenerateAndOutOfRangeContours) {
   EXPECT_EQ(idx.total_entries(), 1);
   ASSERT_EQ(idx.slab(0).size(), 1u);
   EXPECT_EQ(idx.slab(0)[0].contour, 3u);
-  EXPECT_TRUE(idx.slab(0)[0].inside);
   EXPECT_EQ(idx.slab(1).size(), 0u);
   expect_index_equals(idx, brute_force(boxes, bounds));
 }

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "geom/area_oracle.hpp"
+#include "param_print.hpp"
 #include "seq/vatti.hpp"
 #include "test_support.hpp"
 
@@ -74,6 +75,11 @@ struct MCase {
   int n1, n2;
   bool sx1, sx2;
 };
+
+void PrintTo(const MCase& c, std::ostream* os) {
+  test::print_param_bytes(c, os, &MCase::seed, &MCase::n1, &MCase::n2,
+                          &MCase::sx1, &MCase::sx2);
+}
 
 class MartinezDifferential : public ::testing::TestWithParam<MCase> {};
 

@@ -1,8 +1,9 @@
 // Tests for the cache-conscious sweep kernel (SweepKernel::kTuned):
 //
 //   * byte-identity against the reference kernel across the whole 216-case
-//     fuzz corpus, for sequential vatti_clip AND for slab_clip with the
-//     kernel plumbed through Alg2Options — the tuned kernel is a pure cost
+//     fuzz corpus, for sequential vatti_clip AND for slab_clip and
+//     multiset_clip at 1 and 6 slabs with the kernel plumbed through their
+//     options — the tuned kernel is a pure cost
 //     optimization, it may not change a single bit of output;
 //   * the AET invariant checker as a programmatic hook (VattiScratch::
 //     validate) run over the full corpus: zero violations on correct
@@ -22,6 +23,7 @@
 #include "fuzz_cases.hpp"
 #include "geom/polygon.hpp"
 #include "mt/algorithm2.hpp"
+#include "mt/multiset.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "seq/vatti.hpp"
@@ -39,7 +41,7 @@ using geom::PolygonSet;
 /// these purposes (the corpus produces no NaNs; -0.0 == 0.0 would pass,
 /// which is an acceptable notion of "identical output").
 void expect_identical(const PolygonSet& a, const PolygonSet& b,
-                      const char* what) {
+                      const std::string& what) {
   ASSERT_EQ(a.num_contours(), b.num_contours()) << what << ": contour count";
   for (std::size_t i = 0; i < a.contours.size(); ++i) {
     const auto& ca = a.contours[i];
@@ -78,17 +80,29 @@ TEST_P(VattiKernelFuzz, TunedMatchesReferenceExactly) {
   EXPECT_EQ(st_tuned.output_vertices, st_ref.output_vertices);
   EXPECT_EQ(st_tuned.sorted_beams, st_ref.sorted_beams);
 
-  // Algorithm 2 with the kernel selected through Alg2Options (fixed slab
-  // count => fixed decomposition).
+  // Both slab engines with the kernel selected through their options
+  // (fixed slab count => fixed decomposition): one slab sweeps an
+  // unbounded band, six sweep open bands with preloaded entering bounds.
   static par::ThreadPool pool(4);
-  mt::Alg2Options ot;
-  ot.slabs = 6;
-  ot.sweep_kernel = seq::SweepKernel::kTuned;
-  mt::Alg2Options orf = ot;
-  orf.sweep_kernel = seq::SweepKernel::kReference;
-  const PolygonSet slab_tuned = mt::slab_clip(in.a, in.b, c.op, pool, ot);
-  const PolygonSet slab_ref = mt::slab_clip(in.a, in.b, c.op, pool, orf);
-  expect_identical(slab_tuned, slab_ref, "slab_clip");
+  for (const unsigned slabs : {1u, 6u}) {
+    const std::string at = " slabs=" + std::to_string(slabs);
+    mt::Alg2Options ot;
+    ot.slabs = slabs;
+    ot.sweep_kernel = seq::SweepKernel::kTuned;
+    mt::Alg2Options orf = ot;
+    orf.sweep_kernel = seq::SweepKernel::kReference;
+    expect_identical(mt::slab_clip(in.a, in.b, c.op, pool, ot),
+                     mt::slab_clip(in.a, in.b, c.op, pool, orf),
+                     "slab_clip" + at);
+    mt::MultisetOptions mt_t;
+    mt_t.slabs = slabs;
+    mt_t.sweep_kernel = seq::SweepKernel::kTuned;
+    mt::MultisetOptions mt_r = mt_t;
+    mt_r.sweep_kernel = seq::SweepKernel::kReference;
+    expect_identical(mt::multiset_clip(in.a, in.b, c.op, pool, mt_t),
+                     mt::multiset_clip(in.a, in.b, c.op, pool, mt_r),
+                     "multiset_clip" + at);
+  }
   // And the parallel result equals the sequential one in canonical form
   // modulo slab splitting — already covered by cross_engine_fuzz; here the
   // two kernels' parallel outputs matching bit-for-bit is the contract.

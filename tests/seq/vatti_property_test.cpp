@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "geom/area_oracle.hpp"
+#include "param_print.hpp"
 #include "seq/vatti.hpp"
 #include "test_support.hpp"
 
@@ -22,6 +23,11 @@ struct Case {
   int n1, n2;
   bool sx1, sx2;
 };
+
+void PrintTo(const Case& c, std::ostream* os) {
+  test::print_param_bytes(c, os, &Case::seed, &Case::n1, &Case::n2,
+                          &Case::sx1, &Case::sx2);
+}
 
 class VattiDifferential : public ::testing::TestWithParam<Case> {};
 
